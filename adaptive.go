@@ -45,6 +45,35 @@ func (r *ring) mean() float64 {
 	return s / float64(k)
 }
 
+// hitRing is the ring of 0/1 coverage outcomes plus the number of 1s in its
+// live window, so the rolling coverage is one division instead of a sum over
+// the window. The quotient equals ring.mean bit for bit: a float64 sum of
+// 0/1 values is an exact integer at any window size.
+type hitRing struct {
+	ring
+	ones int
+}
+
+func (r *hitRing) add(hit bool) {
+	if r.n >= len(r.buf) && r.buf[r.n%len(r.buf)] == 1 {
+		r.ones-- // the outcome about to be overwritten leaves the window
+	}
+	v := 0.0
+	if hit {
+		v = 1
+		r.ones++
+	}
+	r.ring.add(v)
+}
+
+func (r *hitRing) mean() float64 {
+	k := r.len()
+	if k == 0 {
+		return math.NaN()
+	}
+	return float64(r.ones) / float64(k)
+}
+
 // p99 returns the nearest-rank 99th percentile of the live window
 // (scrape-time only: it copies and sorts).
 func (r *ring) p99() float64 {
@@ -85,9 +114,9 @@ type Adaptive struct {
 	significance float64
 
 	// Rolling telemetry: hits holds 0/1 coverage outcomes from Observe
-	// (did the pre-update interval contain the truth); widths holds the
-	// widths of intervals produced by Interval.
-	hits    ring
+	// (did the pre-update interval contain the truth) and their count;
+	// widths holds the widths of intervals produced by Interval.
+	hits    hitRing
 	widths  ring
 	alarmed bool // last drift-alarm state, for edge-triggered counting
 
@@ -250,11 +279,7 @@ func (a *Adaptive) Observe(q workload.Query, trueSel float64) {
 	// its hit/miss is the honest rolling-coverage sample.
 	if a.online.Len() > 0 {
 		if iv, err := a.online.Interval(pred); err == nil {
-			hit := 0.0
-			if clip(iv).Contains(trueSel) {
-				hit = 1.0
-			}
-			a.hits.add(hit)
+			a.hits.add(clip(iv).Contains(trueSel))
 		}
 	}
 	a.online.Add(pred, trueSel)
@@ -362,7 +387,7 @@ func (a *Adaptive) recalibrate(model Estimator, wl *workload.Workload) error {
 	}
 	a.mart.Reset()
 	a.alarmed = false
-	a.hits = ring{}
+	a.hits = hitRing{}
 	a.widths = ring{}
 	hook := a.onRecal
 	a.mu.Unlock()

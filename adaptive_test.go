@@ -2,6 +2,7 @@ package cardpi
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -404,5 +405,23 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 	close(errCh)
 	for msg := range errCh {
 		t.Error(msg)
+	}
+}
+
+// TestHitRingMatchesSummation checks the counted rolling coverage against
+// the window summation it replaced, bit for bit, through several ring
+// wrap-arounds.
+func TestHitRingMatchesSummation(t *testing.T) {
+	var h hitRing
+	if !math.IsNaN(h.mean()) {
+		t.Fatalf("empty ring mean = %v, want NaN", h.mean())
+	}
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 5*telemetryWindow+37; i++ {
+		h.add(r.Intn(10) < 9)
+		got, want := h.mean(), h.ring.mean()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after %d adds: counted mean %v != summed mean %v", i+1, got, want)
+		}
 	}
 }

@@ -18,6 +18,7 @@ package main
 // leaves the previously serving version untouched, so retrying is safe.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -114,13 +115,11 @@ func adminKey(w http.ResponseWriter, tenant, table string) (registry.Key, bool) 
 	return registry.Key{Tenant: tenant, Table: table}, true
 }
 
-// writeAdminJSON writes a 200 admin response body.
+// writeAdminJSON writes a 200 admin response body (a 500 if v does not
+// encode).
 func writeAdminJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	var buf bytes.Buffer
+	writeJSON(w, &buf, v)
 }
 
 // registryError maps a registry error onto the admin status-code taxonomy.

@@ -9,27 +9,28 @@ import (
 
 // recalStatusResponse is the JSON body of GET /admin/recal: the supervisor's
 // episode counters and last validation verdict joined with the adaptive
-// monitor's live drift telemetry and the currently serving chain. Non-finite
-// telemetry is sanitised to -1 so the body always encodes.
+// monitor's live drift telemetry and the currently serving chain. A
+// non-finite drift statistic is sanitised to -1 and an empty rolling
+// window reads null, so the body always encodes.
 type recalStatusResponse struct {
-	Enabled         bool    `json:"enabled"`
-	State           string  `json:"state,omitempty"`
-	Observed        int     `json:"observed"`
-	Window          int     `json:"window"`
-	Episodes        int     `json:"episodes"`
-	Attempts        int     `json:"attempts"`
-	Swaps           int     `json:"swaps"`
-	Rejected        int     `json:"rejected"`
-	FailedEpisodes  int     `json:"failed_episodes"`
-	LastCoverage    float64 `json:"last_validation_coverage"`
-	LastWidth       float64 `json:"last_validation_width"`
-	LastReason      string  `json:"last_reject_reason,omitempty"`
-	LastError       string  `json:"last_error,omitempty"`
-	Drifted         bool    `json:"drifted"`
-	DriftStatistic  float64 `json:"drift_statistic"`
-	RollingCoverage float64 `json:"rolling_coverage"`
-	CalibrationSize int     `json:"calibration_size"`
-	Serving         string  `json:"serving"`
+	Enabled         bool      `json:"enabled"`
+	State           string    `json:"state,omitempty"`
+	Observed        int       `json:"observed"`
+	Window          int       `json:"window"`
+	Episodes        int       `json:"episodes"`
+	Attempts        int       `json:"attempts"`
+	Swaps           int       `json:"swaps"`
+	Rejected        int       `json:"rejected"`
+	FailedEpisodes  int       `json:"failed_episodes"`
+	LastCoverage    float64   `json:"last_validation_coverage"`
+	LastWidth       float64   `json:"last_validation_width"`
+	LastReason      string    `json:"last_reject_reason,omitempty"`
+	LastError       string    `json:"last_error,omitempty"`
+	Drifted         bool      `json:"drifted"`
+	DriftStatistic  float64   `json:"drift_statistic"`
+	RollingCoverage nullFloat `json:"rolling_coverage"`
+	CalibrationSize int       `json:"calibration_size"`
+	Serving         string    `json:"serving"`
 }
 
 // handleAdminRecalStatus answers GET /admin/recal with the supervisor
@@ -40,7 +41,7 @@ func (s *server) handleAdminRecalStatus(w http.ResponseWriter, _ *http.Request) 
 	resp := recalStatusResponse{
 		Drifted:         u.adaptive.Drifted(),
 		DriftStatistic:  sanitizeJSON(u.adaptive.DriftStatistic()),
-		RollingCoverage: sanitizeJSON(u.adaptive.RollingCoverage()),
+		RollingCoverage: nullFloat(u.adaptive.RollingCoverage()),
 		CalibrationSize: u.adaptive.CalibrationSize(),
 		Serving:         u.current().resilient.Name(),
 		LastCoverage:    -1,

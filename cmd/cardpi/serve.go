@@ -896,7 +896,9 @@ type estimateResponse struct {
 	TrueRows int64   `json:"true_rows"`
 	Covered  bool    `json:"covered"`
 	Drifted  bool    `json:"drifted"`
-	RollCov  float64 `json:"rolling_coverage"`
+	// RollCov is null while the rolling window is empty (just after a
+	// recalibration swap).
+	RollCov nullFloat `json:"rolling_coverage"`
 	// Cached marks replies served without executing the estimator chain —
 	// an interval-cache hit or a coalesced follower of an in-flight miss.
 	// All numeric fields are bit-identical to an uncached reply; only the
@@ -996,15 +998,41 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		iv, depth := ch.resilient.IntervalDepthCtx(ctx, q)
 		resp = u.respond(ch, tab, line, q, iv, depth, bundle, degraded)
 	}
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
 	sc := s.scratch.Get().(*serveScratch)
 	defer s.scratch.Put(sc)
-	sc.buf.Reset()
-	enc := json.NewEncoder(&sc.buf)
+	if writeJSON(w, &sc.buf, resp) {
+		s.reqOK.Inc()
+	}
+}
+
+// writeJSON encodes v, indented, into buf and writes it as a 200 reply. A
+// value that cannot be encoded answers a structured 500 instead of an empty
+// 200, and writeJSON reports false.
+func writeJSON(w http.ResponseWriter, buf *bytes.Buffer, v any) bool {
+	buf.Reset()
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
-	_, _ = w.Write(sc.buf.Bytes())
+	if err := enc.Encode(v); err != nil {
+		logStderr("encode reply: %v", err)
+		httpError(w, http.StatusInternalServerError, "encode_error", "encode reply: %v", err)
+		return false
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
+	return true
+}
+
+// nullFloat is a float64 that encodes as JSON null when it is NaN or
+// infinite, values encoding/json refuses.
+type nullFloat float64
+
+// MarshalJSON implements json.Marshaler.
+func (f nullFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(v)
 }
 
 // respond assembles the per-query answer around a served interval. Both
@@ -1065,7 +1093,7 @@ func (u *servingUnit) render(ch *servingChain, tab *dataset.Table, line string, 
 		HiRows:   cardIv.Hi,
 		TrueRows: -1,
 		Drifted:  u.adaptive.Drifted(),
-		RollCov:  u.adaptive.RollingCoverage(),
+		RollCov:  nullFloat(u.adaptive.RollingCoverage()),
 		Cached:   cached,
 	}
 	if res.HasTruth {
@@ -1165,7 +1193,7 @@ func wireResult(resp *estimateResponse, depth int) codec.WireResult {
 		EstSel: resp.EstSel, EstRows: resp.EstRows,
 		LoSel: resp.LoSel, HiSel: resp.HiSel,
 		LoRows: resp.LoRows, HiRows: resp.HiRows,
-		TrueRows: resp.TrueRows, RollCov: resp.RollCov,
+		TrueRows: resp.TrueRows, RollCov: float64(resp.RollCov),
 		Depth: uint8(depth), Flags: flags,
 	}
 }
@@ -1342,12 +1370,7 @@ func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batchWireJSON.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	sc.buf.Reset()
-	enc := json.NewEncoder(&sc.buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(batchResponse{Count: len(sc.results), Results: sc.results})
-	_, _ = w.Write(sc.buf.Bytes())
+	writeJSON(w, &sc.buf, batchResponse{Count: len(sc.results), Results: sc.results})
 }
 
 // stageName renders a fallback depth for the served_by field.

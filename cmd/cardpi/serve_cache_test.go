@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,5 +392,90 @@ func TestServeCacheLookupAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("key+lookup allocates %v times per run; want 0", allocs)
+	}
+}
+
+// TestServeRepliesAfterRecalibration: right after a recalibration swap the
+// rolling-coverage window is empty (NaN). A reply rendered in that gap must
+// still be a decodable 200 carrying rolling_coverage null, not an empty
+// body. Detaching the cache-invalidation hook holds the gap open: the
+// cached entry survives the swap, so the next hit renders with no
+// observation in between — the window a concurrent hit falls into between
+// the ring reset and the epoch bump.
+func TestServeRepliesAfterRecalibration(t *testing.T) {
+	ts, srv, _ := startServer(t, smallSetup(t), serveOpts{cacheEntries: 1024})
+	const q = "state = 3"
+	if st, _, body := getEstimate(t, ts.URL, q, "", ""); st != http.StatusOK {
+		t.Fatalf("cold status %d: %s", st, body)
+	}
+	srv.def.adaptive.OnRecalibrate(func() {})
+	if err := srv.def.adaptive.Recalibrate(nil); err != nil {
+		t.Fatal(err)
+	}
+	if rc := srv.def.adaptive.RollingCoverage(); !math.IsNaN(rc) {
+		t.Fatalf("rolling coverage after recalibration = %v, want NaN", rc)
+	}
+	wantNull := func(what string, body []byte) {
+		t.Helper()
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatalf("%s: decode: %v (%q)", what, err, body)
+		}
+		if got := string(raw["rolling_coverage"]); got != "null" {
+			t.Fatalf("%s: rolling_coverage = %s, want null", what, got)
+		}
+	}
+	st, er, body := getEstimate(t, ts.URL, q, "", "")
+	if st != http.StatusOK || !er.Cached {
+		t.Fatalf("/estimate after recalibration: status %d cached %v: %q", st, er.Cached, body)
+	}
+	wantNull("/estimate", body)
+
+	resp := postBatch(t, ts, []string{q})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/estimate/batch after recalibration: status %d: %q", resp.StatusCode, body)
+	}
+	var br struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 1 {
+		t.Fatalf("/estimate/batch: decode %v, %d results (%q)", err, len(br.Results), body)
+	}
+	wantNull("/estimate/batch result", br.Results[0])
+
+	resp, err = http.Get(ts.URL + "/admin/recal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/admin/recal: status %d: %q", resp.StatusCode, body)
+	}
+	wantNull("/admin/recal", body)
+}
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses answers a
+// structured 500, never an empty 200.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	var buf bytes.Buffer
+	if writeJSON(rec, &buf, map[string]float64{"x": math.NaN()}) {
+		t.Fatal("writeJSON reported success for a NaN value")
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != "encode_error" {
+		t.Fatalf("error body %q (decode err %v), want code encode_error", rec.Body.String(), err)
 	}
 }

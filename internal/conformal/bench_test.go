@@ -1,6 +1,7 @@
 package conformal
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -89,18 +90,32 @@ func BenchmarkOnlineAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkMartingaleObserve times one Observe against a history of 1k,
+// 10k and 100k scores. The history is filled before the timer starts and
+// refilled (untimed) whenever the timed observations have grown it by 10%,
+// so each sub-benchmark measures a history of about its nominal size.
 func BenchmarkMartingaleObserve(b *testing.B) {
-	m, err := NewPowerMartingale(0.1, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	// Keep the history bounded so the benchmark measures steady state.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(m.past) > 4096 {
-			m, _ = NewPowerMartingale(0.1, 4)
-		}
-		m.Observe(r.Float64())
+	for _, size := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("history=%d", size), func(b *testing.B) {
+			r := rand.New(rand.NewSource(5))
+			var m *PowerMartingale
+			fill := func() {
+				m, _ = NewPowerMartingale(0.1, 4)
+				for i := 0; i < size; i++ {
+					m.Observe(r.Float64())
+				}
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m.n >= size+size/10 {
+					b.StopTimer()
+					fill()
+					b.StartTimer()
+				}
+				m.Observe(r.Float64())
+			}
+		})
 	}
 }

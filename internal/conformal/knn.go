@@ -7,9 +7,9 @@ import (
 
 // Exact k-nearest-neighbour selection over the calibration features under
 // the (squared distance, calibration index) lexicographic total order — the
-// same order LocalDelta's reference sort produces — so every strategy below
-// selects the identical neighbour set and the Localized batch path stays
-// bit-identical to the sequential reference.
+// order a full sort of the calibration set produces — so every strategy
+// below selects the identical neighbour set and Localized's thresholds stay
+// bit-identical to that full sort (the reference the tests keep).
 //
 // Three strategies cover the practical regimes, none of which sorts the
 // full calibration set per query:

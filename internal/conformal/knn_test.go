@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -75,18 +76,47 @@ func buildKNNLocalized(t *testing.T, r *rand.Rand, c knnCase) (*Localized, [][]f
 	return l, qs
 }
 
+// refLocalDelta is the readable full-sort reference for the localized
+// threshold: sort every calibration point by (distance, calibration index)
+// and take the conformal quantile of the K nearest scores. The neighbour
+// index must reproduce it bit for bit.
+func refLocalDelta(l *Localized, feat []float64) (float64, error) {
+	type ds struct {
+		d float64
+		s float64
+		i int
+	}
+	all := make([]ds, len(l.feats))
+	for i, f := range l.feats {
+		all[i] = ds{d: sqDist(f, feat), s: l.scores[i], i: i}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].d != all[j].d {
+			return all[i].d < all[j].d
+		}
+		return all[i].i < all[j].i
+	})
+	local := make([]float64, l.K)
+	for i := 0; i < l.K; i++ {
+		local[i] = all[i].s
+	}
+	return Quantile(local, l.Alpha)
+}
+
+// knnCases covers every neighbour-selection strategy regime.
+var knnCases = []knnCase{
+	{name: "tree-low-dim", n: 400, dim: 3, k: 11, queries: 120},
+	{name: "tree-heavy-ties", n: 300, dim: 2, k: 25, ties: true, queries: 120},
+	{name: "scan-high-dim", n: 400, dim: 40, k: 10, queries: 80},
+	{name: "quickselect-large-k", n: 400, dim: 40, k: 100, ties: true, queries: 80},
+	{name: "k-equals-n", n: 60, dim: 5, k: 60, queries: 40},
+	{name: "tiny-no-tree", n: 10, dim: 3, k: 3, queries: 40},
+}
+
 // TestDeltasMatchesLocalDelta proves the batch neighbour index is
 // bit-identical to the full-sort reference for every strategy regime.
 func TestDeltasMatchesLocalDelta(t *testing.T) {
-	cases := []knnCase{
-		{name: "tree-low-dim", n: 400, dim: 3, k: 11, queries: 120},
-		{name: "tree-heavy-ties", n: 300, dim: 2, k: 25, ties: true, queries: 120},
-		{name: "scan-high-dim", n: 400, dim: 40, k: 10, queries: 80},
-		{name: "quickselect-large-k", n: 400, dim: 40, k: 100, ties: true, queries: 80},
-		{name: "k-equals-n", n: 60, dim: 5, k: 60, queries: 40},
-		{name: "tiny-no-tree", n: 10, dim: 3, k: 3, queries: 40},
-	}
-	for _, c := range cases {
+	for _, c := range knnCases {
 		t.Run(c.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(c.name))))
 			l, qs := buildKNNLocalized(t, r, c)
@@ -95,12 +125,46 @@ func TestDeltasMatchesLocalDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, q := range qs {
-				want, err := l.LocalDelta(q)
+				want, err := refLocalDelta(l, q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Float64bits(want) != math.Float64bits(got[i]) {
 					t.Fatalf("query %d: Deltas %v != LocalDelta %v", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestLocalDeltaMatchesFullSort proves the single-query path (LocalDelta
+// and Interval, through the neighbour index) is bit-identical to the
+// full-sort reference for every strategy regime.
+func TestLocalDeltaMatchesFullSort(t *testing.T) {
+	for _, c := range knnCases {
+		t.Run(c.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(len(c.name)) + 100))
+			l, qs := buildKNNLocalized(t, r, c)
+			for i, q := range qs {
+				want, err := refLocalDelta(l, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := l.LocalDelta(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("query %d: LocalDelta %v != full sort %v", i, got, want)
+				}
+				pred := r.Float64()
+				iv, err := l.Interval(q, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := l.score.Interval(pred, want)
+				if math.Float64bits(iv.Lo) != math.Float64bits(ref.Lo) || math.Float64bits(iv.Hi) != math.Float64bits(ref.Hi) {
+					t.Fatalf("query %d: Interval %+v != full sort %+v", i, iv, ref)
 				}
 			}
 		})
@@ -128,7 +192,7 @@ func TestDeltasAfterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		want, err := l.LocalDelta(q)
+		want, err := refLocalDelta(l, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,36 +75,20 @@ func (l *Localized) Interval(feat []float64, pred float64) (Interval, error) {
 }
 
 // LocalDelta returns the threshold calibrated from the K nearest
-// calibration points. This is the readable full-sort reference the batch
-// path (Deltas) is proven bit-identical against: distances tie-break on the
-// calibration index, giving a total order that both implementations share.
+// calibration points, under the (distance, calibration index) total order.
+// It selects them through the prebuilt neighbour index with pooled scratch
+// buffers, the path Deltas shards over a batch, and never sorts the whole
+// calibration set. Safe for concurrent use.
 func (l *Localized) LocalDelta(feat []float64) (float64, error) {
-	type ds struct {
-		d float64
-		s float64
-		i int
-	}
-	all := make([]ds, len(l.feats))
-	for i, f := range l.feats {
-		all[i] = ds{d: sqDist(f, feat), s: l.scores[i], i: i}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].i < all[j].i
-	})
-	local := make([]float64, l.K)
-	for i := 0; i < l.K; i++ {
-		local[i] = all[i].s
-	}
-	return Quantile(local, l.Alpha)
+	s := knnScratchPool.Get().(*knnScratch)
+	defer knnScratchPool.Put(s)
+	return l.localDelta(feat, s)
 }
 
-// knnScratch holds the reusable buffers of the batch kNN path so a whole
-// batch (or one worker's row block of it) shares one allocation set;
-// per-row allocations are zero once the buffers have grown. Not safe for
-// concurrent use — each row-block worker takes its own scratch from
+// knnScratch holds the reusable buffers of the kNN path so a whole batch
+// (or one worker's row block of it, or one single-query call) shares one
+// allocation set; per-row allocations are zero once the buffers have grown.
+// Not safe for concurrent use — each caller takes its own scratch from
 // knnScratchPool.
 type knnScratch struct {
 	heap  knnHeap
@@ -112,8 +96,8 @@ type knnScratch struct {
 	local []float64
 }
 
-// knnScratchPool recycles kNN scratch buffer sets across batch calls and
-// across the row-block workers inside one call, so batch allocations are
+// knnScratchPool recycles kNN scratch buffer sets across calls and across
+// the row-block workers inside one batch call, so batch allocations are
 // O(1) in the batch size instead of one scratch growth per call.
 var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
 
@@ -129,10 +113,10 @@ const lcpMinBlock = 8
 // early-abandoning bounded-heap scan, or quickselect partial selection
 // depending on dimensionality and K — with its own pooled scratch buffer
 // set, and never performs a full calibration-set sort per query. Per-row
-// results are bit-identical to LocalDelta for any worker count; on failure
-// the lowest-indexed failing row's error is returned (every row is still
-// attempted). Safe for concurrent use: the calibration state is read-only
-// after construction.
+// results are bit-identical to LocalDelta for any worker count, and both
+// match a full sort of the calibration set; on failure the lowest-indexed
+// failing row's error is returned (every row is still attempted). Safe for
+// concurrent use: the calibration state is read-only after construction.
 func (l *Localized) Deltas(feats [][]float64, out []float64) error {
 	if len(feats) != len(out) {
 		return fmt.Errorf("conformal: %d feature rows vs %d outputs", len(feats), len(out))
@@ -176,7 +160,8 @@ func (l *Localized) Intervals(feats [][]float64, preds []float64, out []Interval
 // localDelta computes one threshold through the neighbour index using the
 // scratch buffers. Every strategy selects the identical K-candidate set
 // under the (distance, index) total order, so the score multiset — and
-// therefore the conformal quantile — matches the reference sort exactly.
+// therefore the conformal quantile — matches a full sort of the
+// calibration set by (distance, index) exactly.
 func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 	n := len(l.feats)
 	k := l.K

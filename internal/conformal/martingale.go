@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // PowerMartingale is a plug-in martingale for testing exchangeability online
@@ -26,7 +27,10 @@ type PowerMartingale struct {
 	Epsilon float64
 	rng     *rand.Rand
 
-	past     []float64
+	// ranks holds every non-NaN score since the last reset; n counts every
+	// score, NaN included.
+	ranks    rankSet
+	n        int
 	logM     float64
 	cusum    float64
 	maxCusum float64
@@ -45,16 +49,15 @@ func NewPowerMartingale(epsilon float64, seed int64) (*PowerMartingale, error) {
 // Observe processes the next score in the stream and returns the smoothed
 // conformal p-value it produced.
 func (m *PowerMartingale) Observe(score float64) float64 {
+	// greater and equal count the past scores s with s > score and
+	// s == score; a NaN on either side compares false, so a NaN score (or a
+	// past NaN) is counted in n only.
 	greater, equal := 0, 0
-	for _, s := range m.past {
-		switch {
-		case s > score:
-			greater++
-		case s == score:
-			equal++
-		}
+	if !math.IsNaN(score) {
+		less, lessEq := m.ranks.rank(score)
+		greater, equal = m.ranks.size-lessEq, lessEq-less
 	}
-	n := len(m.past) + 1
+	n := m.n + 1
 	// Smoothed p-value: ties (including the new point itself) are broken
 	// uniformly, which makes the p-values exactly uniform under
 	// exchangeability.
@@ -63,7 +66,10 @@ func (m *PowerMartingale) Observe(score float64) float64 {
 	if p <= 0 {
 		p = 1.0 / float64(2*n)
 	}
-	m.past = append(m.past, score)
+	if !math.IsNaN(score) {
+		m.ranks.insert(score)
+	}
+	m.n = n
 	inc := math.Log(m.Epsilon) + (m.Epsilon-1)*math.Log(p)
 	m.logM += inc
 	if m.cusum < 0 {
@@ -82,7 +88,8 @@ func (m *PowerMartingale) Observe(score float64) float64 {
 // tie-breaking RNG keeps its stream, so a Reset does not replay the same
 // randomisation.
 func (m *PowerMartingale) Reset() {
-	m.past = m.past[:0]
+	m.ranks.reset()
+	m.n = 0
 	m.logM = 0
 	m.cusum = 0
 	m.maxCusum = 0
@@ -114,4 +121,104 @@ func TestExchangeability(scores []float64, epsilon float64, seed int64) (float64
 		m.Observe(s)
 	}
 	return m.MaxLogValue(), nil
+}
+
+// rankSet is the sorted multiset of scores the martingale ranks each new
+// score against, kept as a run of sorted blocks whose concatenation is
+// sorted. Ranking binary-searches the block maxima and then one block, in
+// O(log n); inserting shifts one block and the block prefix counts, in
+// O(√n), since a block splits once it holds more than twice
+// max(minRankBlock, √size) scores. Comparisons are the float64 operators,
+// so -0 and +0 rank as equal. NaN is never stored.
+type rankSet struct {
+	blocks [][]float64 // each sorted ascending
+	maxes  []float64   // maxes[i] is the last score of blocks[i]
+	before []int       // before[i] is the total length of blocks[:i]
+	size   int
+}
+
+// minRankBlock keeps blocks from splitting into slivers while the set is
+// small.
+const minRankBlock = 32
+
+// rank returns how many stored scores are < x and how many are <= x.
+func (r *rankSet) rank(x float64) (less, lessEq int) {
+	if i := sort.SearchFloat64s(r.maxes, x); i < len(r.blocks) {
+		less = r.before[i] + sort.SearchFloat64s(r.blocks[i], x)
+	} else {
+		less = r.size
+	}
+	if i := countAtMost(r.maxes, x); i < len(r.blocks) {
+		lessEq = r.before[i] + countAtMost(r.blocks[i], x)
+	} else {
+		lessEq = r.size
+	}
+	return less, lessEq
+}
+
+// insert adds x (not NaN) to the set.
+func (r *rankSet) insert(x float64) {
+	if len(r.blocks) == 0 {
+		r.blocks = append(r.blocks, []float64{x})
+		r.maxes = append(r.maxes, x)
+		r.before = append(r.before, 0)
+		r.size = 1
+		return
+	}
+	// The first block whose maximum exceeds x takes it; past the last
+	// maximum it goes at the end of the last block.
+	i := min(countAtMost(r.maxes, x), len(r.blocks)-1)
+	b := r.blocks[i]
+	j := countAtMost(b, x)
+	b = append(b, 0)
+	copy(b[j+1:], b[j:])
+	b[j] = x
+	r.blocks[i] = b
+	r.maxes[i] = b[len(b)-1]
+	for k := i + 1; k < len(r.before); k++ {
+		r.before[k]++
+	}
+	r.size++
+	if limit := 2 * max(minRankBlock, int(math.Sqrt(float64(r.size)))); len(b) > limit {
+		r.split(i)
+	}
+}
+
+// split halves blocks[i] into two adjacent blocks.
+func (r *rankSet) split(i int) {
+	b := r.blocks[i]
+	h := len(b) / 2
+	tail := append([]float64(nil), b[h:]...)
+	r.blocks[i] = b[:h]
+	r.blocks = append(r.blocks, nil)
+	copy(r.blocks[i+2:], r.blocks[i+1:])
+	r.blocks[i+1] = tail
+	r.maxes = append(r.maxes, 0)
+	copy(r.maxes[i+2:], r.maxes[i+1:])
+	r.maxes[i] = b[h-1]
+	r.maxes[i+1] = tail[len(tail)-1]
+	r.before = append(r.before, 0)
+	copy(r.before[i+2:], r.before[i+1:])
+	r.before[i+1] = r.before[i] + h
+}
+
+func (r *rankSet) reset() {
+	r.blocks = r.blocks[:0]
+	r.maxes = r.maxes[:0]
+	r.before = r.before[:0]
+	r.size = 0
+}
+
+// countAtMost returns how many elements of the ascending slice a are <= x.
+func countAtMost(a []float64, x float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -362,11 +362,7 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := tab.compile(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := countChunk(bounds, 0, tab.NumRows())
+	want := naiveCount(tab, preds)
 	if got != want {
 		t.Fatalf("parallel count %d != sequential %d", got, want)
 	}

@@ -298,17 +298,17 @@ type Localized struct {
 	model Estimator
 	lcp   *conformal.Localized
 	feats FeatureFunc
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
+	// appendFeats, when set, is the allocation-free featurizer Interval
+	// and IntervalBatch use instead of feats (see SetAppendFeatures).
 	appendFeats AppendFeatureFunc
 }
 
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to pack feature rows into one pooled flat block instead of
-// allocating a vector per query. af must append values bit-identical to the
-// wrapper's FeatureFunc and be safe for concurrent calls; nil restores the
-// per-query fallback. Call before serving batches — the setter itself is
-// not synchronised with concurrent IntervalBatch calls.
+// SetAppendFeatures installs the allocation-free featurizer Interval and
+// IntervalBatch use to fill pooled buffers (one flat block per batch)
+// instead of allocating a vector per query. af must append values
+// bit-identical to the wrapper's FeatureFunc and be safe for concurrent
+// calls; nil restores the per-query fallback. Call before serving — the
+// setter itself is not synchronised with concurrent Interval calls.
 func (l *Localized) SetAppendFeatures(af AppendFeatureFunc) { l.appendFeats = af }
 
 // WrapLocalized calibrates localized conformal prediction with a
@@ -336,9 +336,21 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 // Name implements PI.
 func (l *Localized) Name() string { return "lcp/" + l.model.Name() }
 
-// Interval implements PI.
+// Interval implements PI. With an AppendFeatureFunc installed the query is
+// featurised into a pooled buffer, and the threshold comes from the same
+// neighbour index IntervalBatch uses.
 func (l *Localized) Interval(q workload.Query) (Interval, error) {
-	iv, err := l.lcp.Interval(l.feats(q), l.model.EstimateSelectivity(q))
+	pred := l.model.EstimateSelectivity(q)
+	var iv conformal.Interval
+	var err error
+	if l.appendFeats != nil {
+		fs := featPool.Get().(*featScratch)
+		fs.flat = l.appendFeats(q, fs.flat[:0])
+		iv, err = l.lcp.Interval(fs.flat, pred)
+		featPool.Put(fs)
+	} else {
+		iv, err = l.lcp.Interval(l.feats(q), pred)
+	}
 	if err != nil {
 		return Interval{}, err
 	}
