@@ -20,7 +20,7 @@ bench:
 
 # Run the NN-core benchmarks and record them as BENCH_nn.json so future
 # changes have a perf trajectory to compare against, then the PI hot-path
-# benchmarks as BENCH_pi.json (sequential Interval vs IntervalBatch; the
+# benchmarks as BENCH_pi.json (single-query IntervalCtx vs batched Intervals; the
 # speedups block records the queries/sec ratios).
 bench-json:
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkFit$$' -benchmem ./internal/nn/ ; \

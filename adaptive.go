@@ -1,6 +1,7 @@
 package cardpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -98,7 +99,7 @@ func (r *ring) p99() float64 {
 // All inputs and outputs are in normalised selectivity units ([0, 1]); use
 // CardinalityInterval to convert an interval to row counts. Unlike the
 // static wrappers, Adaptive is mutable — it guards its calibration state
-// with a mutex, so Interval, Observe, and every accessor are safe for
+// with a mutex, so Intervals, Observe, and every accessor are safe for
 // concurrent use from multiple goroutines.
 type Adaptive struct {
 	mu     sync.Mutex
@@ -115,7 +116,7 @@ type Adaptive struct {
 
 	// Rolling telemetry: hits holds 0/1 coverage outcomes from Observe
 	// (did the pre-update interval contain the truth) and their count;
-	// widths holds the widths of intervals produced by Interval.
+	// widths holds the widths of intervals produced by Intervals.
 	hits    hitRing
 	widths  ring
 	alarmed bool // last drift-alarm state, for edge-triggered counting
@@ -189,7 +190,7 @@ func NewAdaptive(model Estimator, initial *workload.Workload, score conformal.Sc
 
 // registerMetrics publishes the adaptive telemetry on reg, labeled by model
 // name. Gauge callbacks lock the wrapper's mutex, so scrapes are consistent
-// with concurrent Observe/Interval traffic.
+// with concurrent Observe/Intervals traffic.
 func (a *Adaptive) registerMetrics(reg *obs.Registry) {
 	model := obs.L("model", a.model.Name())
 	a.obsTotal = reg.Counter("cardpi_adaptive_observations_total",
@@ -201,7 +202,7 @@ func (a *Adaptive) registerMetrics(reg *obs.Registry) {
 	a.recalTotal = reg.Counter("cardpi_adaptive_recalibrations_total",
 		"Recalibrate calls: drift-alarm acknowledgements that reset the monitor.", model)
 	a.widthHist = reg.Histogram("cardpi_adaptive_interval_width",
-		"Widths of intervals produced by Adaptive.Interval, in normalised selectivity units.",
+		"Widths of intervals produced by Adaptive.Intervals, in normalised selectivity units.",
 		obs.WidthBuckets, model)
 	reg.GaugeFunc("cardpi_adaptive_coverage",
 		"Rolling empirical coverage over the last observations (target is 1-alpha).",
@@ -238,25 +239,35 @@ func (a *Adaptive) currentModel() Estimator {
 	return a.model
 }
 
-// Interval implements PI against the current calibration state: a
-// selectivity interval in [0, 1]. Safe for concurrent use; with metrics
-// enabled the produced width also feeds the rolling width telemetry.
-// Recording adds zero heap allocations per call.
-func (a *Adaptive) Interval(q workload.Query) (Interval, error) {
-	pred := a.currentModel().EstimateSelectivity(q)
-	a.mu.Lock()
-	iv, err := a.online.Interval(pred)
-	if err != nil {
-		a.mu.Unlock()
-		return Interval{}, err
+// Intervals implements PI against the current calibration state:
+// selectivity intervals in [0, 1], the model's estimates computed in one
+// batched pass. Safe for concurrent use; with metrics enabled the produced
+// widths also feed the rolling width telemetry. Recording adds zero heap
+// allocations per call.
+func (a *Adaptive) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	iv = clip(iv)
-	a.widths.add(iv.Hi - iv.Lo)
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, a.currentModel(), qs)
+	a.mu.Lock()
+	for i, pred := range preds {
+		iv, err := a.online.Interval(pred)
+		if err != nil {
+			a.mu.Unlock()
+			return err
+		}
+		dst[i] = clip(iv)
+		a.widths.add(dst[i].Hi - dst[i].Lo)
+	}
 	a.mu.Unlock()
 	if a.widthHist != nil {
-		a.widthHist.Observe(iv.Hi - iv.Lo)
+		for _, iv := range dst {
+			a.widthHist.Observe(iv.Hi - iv.Lo)
+		}
 	}
-	return iv, nil
+	return nil
 }
 
 // Observe feeds back a query's true selectivity (in [0, 1]) after
@@ -402,7 +413,7 @@ func (a *Adaptive) recalibrate(model Estimator, wl *workload.Workload) error {
 
 // OnRecalibrate registers fn to run after every successful recalibration
 // commit (Recalibrate or RecalibrateModel), outside the internal lock and
-// strictly after the new calibration state is visible to Interval. The
+// strictly after the new calibration state is visible to Intervals. The
 // serving layer uses it to bump the interval cache's epoch so stale cached
 // intervals become unreachable the moment a recalibration lands. Only one
 // hook is kept (later registrations replace earlier ones); fn must be safe

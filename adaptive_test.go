@@ -26,7 +26,7 @@ func TestAdaptiveCoverageOnStream(t *testing.T) {
 	}
 	hits := 0
 	for _, lq := range test.Queries {
-		iv, err := a.Interval(lq.Query)
+		iv, err := interval(a, lq.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestAdaptiveRecalibrateModel(t *testing.T) {
 	if got := a.CalibrationSize(); got != len(cal.Queries) {
 		t.Errorf("calibration size after swap = %d, want %d", got, len(cal.Queries))
 	}
-	iv, err := a.Interval(test.Queries[0].Query)
+	iv, err := interval(a, test.Queries[0].Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				lq := test.Queries[(w*200+i)%len(test.Queries)]
-				iv, err := a.Interval(lq.Query)
+				iv, err := interval(a, lq.Query)
 				if err != nil {
 					select {
 					case errCh <- "Interval: " + err.Error():

@@ -1,28 +1,13 @@
 package cardpi
 
 import (
+	"context"
 	"sync"
 
 	"cardpi/internal/estimator"
 	"cardpi/internal/par"
 	"cardpi/internal/workload"
 )
-
-// BatchPI is the batched extension of PI, implemented by every wrapper in
-// this package. IntervalBatch answers all queries in one call — the model's
-// estimates run through its native batched inference path (one matrix-style
-// forward pass per network layer instead of one per query) and the
-// conformal step reuses presorted calibration state; both layers shard the
-// batch in contiguous row blocks over the batch worker pool
-// (par.SetBatchWorkers). Results are bit-identical to calling Interval per
-// query for any worker count, in the same normalised selectivity units, and
-// implementations are safe for concurrent IntervalBatch calls whenever the
-// wrapped model is.
-type BatchPI interface {
-	PI
-	// IntervalBatch returns one interval per query, aligned with qs.
-	IntervalBatch(qs []workload.Query) ([]Interval, error)
-}
 
 // Minimum per-worker row blocks for the conformal post-passes. The trivial
 // passes (apply a precomputed band, clip) cost nanoseconds per row, so only
@@ -34,88 +19,61 @@ const (
 	ratioMinBlock   = 64
 )
 
-// IntervalBatch answers all queries with pi: through its native batch path
-// when pi implements BatchPI, and otherwise by fanning the per-query
-// Interval calls over the bounded worker pool. Either way the result is
-// aligned with qs and element-wise identical to sequential Interval calls;
-// on failure the error of the lowest-indexed failing query is returned.
-func IntervalBatch(pi PI, qs []workload.Query) ([]Interval, error) {
-	if bp, ok := pi.(BatchPI); ok {
-		return bp.IntervalBatch(qs)
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	out := make([]Interval, len(qs))
-	err := par.ForEach(len(qs), func(i int) error {
-		iv, err := pi.Interval(qs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = iv
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return buf[:n]
 }
 
-// estimateAll runs the model's batched estimation path over qs and returns
-// the estimates (bit-identical to per-query EstimateSelectivity).
-func estimateAll(m Estimator, qs []workload.Query) []float64 {
-	preds := make([]float64, len(qs))
-	estimator.EstimateBatch(m, qs, preds)
-	return preds
+// batchScratch holds the reusable buffers of one Intervals call: the
+// model's estimates (preds, plus aux for a second model or the difficulty
+// predictions), one flat row-major feature block, and the per-row views
+// handed to the conformal and difficulty kernels. Buffers grow to the
+// largest batch seen; a scratch is owned by one call at a time
+// (scratchPool).
+type batchScratch struct {
+	preds, aux []float64
+	flat       []float64
+	rows       [][]float64
 }
 
-// featScratch holds the reusable buffers of the batch featurisation path:
-// one flat row-major block plus the per-row views handed to the conformal
-// and difficulty kernels. Buffers grow to the largest batch seen; a scratch
-// is owned by one IntervalBatch call at a time (featPool).
-type featScratch struct {
-	flat []float64
-	rows [][]float64
-}
+// scratchPool recycles batch scratch sets across Intervals calls and
+// wrappers, so a call's allocations stay O(1) in the batch size and a
+// batch of one allocates nothing of its own.
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// featPool recycles featurisation scratch sets across IntervalBatch calls
-// and wrappers, so batch allocations stay O(1) in the batch size.
-var featPool = sync.Pool{New: func() any { return new(featScratch) }}
+// estimateInto runs the model's batched estimation path over qs into *buf
+// (bit-identical to per-query EstimateSelectivity) and returns the
+// estimates.
+func estimateInto(buf *[]float64, m Estimator, qs []workload.Query) []float64 {
+	*buf = grow(*buf, len(qs))
+	estimator.EstimateBatch(m, qs, *buf)
+	return *buf
+}
 
 // featurize fills s.rows[i] with the feature vector of qs[i] and returns
-// the row views. With an AppendFeatureFunc every row lands in s.flat — the
-// pooled flat block, no per-query allocation — and rows are filled by
-// contiguous row-block workers; the legacy per-query FeatureFunc fallback
-// allocates one vector per row but still shards. Either path produces rows
-// bit-identical to calling the featurizer sequentially.
-func (s *featScratch) featurize(af AppendFeatureFunc, legacy FeatureFunc, qs []workload.Query) [][]float64 {
+// the row views. Every row lands in s.flat — the pooled flat block, no
+// per-query allocation — and rows are filled by contiguous row-block
+// workers, bit-identical to calling the featurizer sequentially.
+func (s *batchScratch) featurize(af AppendFeatureFunc, qs []workload.Query) [][]float64 {
 	n := len(qs)
-	if cap(s.rows) < n {
-		s.rows = make([][]float64, n)
-	}
-	s.rows = s.rows[:n]
-	if af == nil {
-		par.RunBlocks(n, featMinBlock, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				s.rows[i] = legacy(qs[i])
-			}
-			return nil
-		})
+	s.rows = grow(s.rows, n)
+	if n == 0 {
 		return s.rows
 	}
 	// Probe row 0 for the feature width, then give every row its own
 	// full-capacity sub-block of the flat buffer: a width-stable featurizer
 	// appends in place (zero allocations), while one that ever exceeds its
 	// block falls back to append's reallocation — still correct, row by row.
-	probe := af(qs[0], s.flat[:0])
-	dim := len(probe)
+	dim := len(af(qs[0], s.flat[:0]))
 	if dim == 0 {
-		for i := range s.rows {
-			s.rows[i] = nil
-		}
+		clear(s.rows)
 		return s.rows
 	}
-	if cap(s.flat) < n*dim {
-		s.flat = make([]float64, n*dim)
-	}
-	s.flat = s.flat[:n*dim]
+	s.flat = grow(s.flat, n*dim)
 	par.RunBlocks(n, featMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			s.rows[i] = af(qs[i], s.flat[i*dim:i*dim:(i+1)*dim])
@@ -125,142 +83,153 @@ func (s *featScratch) featurize(af AppendFeatureFunc, legacy FeatureFunc, qs []w
 	return s.rows
 }
 
-// IntervalBatch implements BatchPI: the model's estimates are produced in
-// one batched pass and the constant-width conformal band is applied per
-// estimate, sharded in row blocks. Bit-identical to per-query Interval for
-// any worker count.
-func (s *SplitCP) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	preds := estimateAll(s.model, qs)
-	out := make([]Interval, len(qs))
+// Intervals implements PI: the model's estimates are produced in one
+// batched pass and the constant-width conformal band is applied per
+// estimate, sharded in row blocks.
+func (s *SplitCP) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, s.model, qs)
 	par.RunBlocks(len(qs), trivialMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = clip(s.cp.Interval(preds[i]))
+			dst[i] = clip(s.cp.Interval(preds[i]))
 		}
 		return nil
 	})
-	return out, nil
+	return nil
 }
 
-// IntervalBatch implements BatchPI: model estimates, featurisation, and the
+// Intervals implements PI: model estimates, featurisation, and the
 // gradient-boosted difficulty predictions all run batched and row-block
-// sharded, then the scaled band is applied per query. Bit-identical to
-// per-query Interval for any worker count.
-func (l *LocallyWeighted) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	preds := estimateAll(l.model, qs)
-	fs := featPool.Get().(*featScratch)
-	defer featPool.Put(fs)
-	X := fs.featurize(l.appendFeats, l.feats, qs)
-	u := make([]float64, len(qs))
+// sharded, then the scaled band U(X) = max(g(X), 0) + beta is applied per
+// query.
+func (l *LocallyWeighted) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, l.model, qs)
+	X := sc.featurize(l.feats, qs)
+	u := grow(sc.aux, len(qs))
+	sc.aux = u
 	l.g.PredictBatch(X, u)
-	out := make([]Interval, len(qs))
 	par.RunBlocks(len(qs), trivialMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			d := u[i]
 			if d < 0 {
 				d = 0
 			}
-			out[i] = clip(l.lw.Interval(preds[i], d+l.beta))
+			dst[i] = clip(l.lw.Interval(preds[i], d+l.beta))
 		}
 		return nil
 	})
-	return out, nil
+	return nil
 }
 
-// IntervalBatch implements BatchPI: both quantile models run their batched
-// inference paths once over the whole query set and the conformal margin is
-// applied in sharded row blocks. Bit-identical to per-query Interval for
-// any worker count.
-func (c *CQR) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	loP := estimateAll(c.lo, qs)
-	hiP := estimateAll(c.hi, qs)
-	out := make([]Interval, len(qs))
+// Intervals implements PI: both quantile models run their batched inference
+// paths once over the whole query set and the conformal margin is applied
+// in sharded row blocks.
+func (c *CQR) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	loP := estimateInto(&sc.preds, c.lo, qs)
+	hiP := estimateInto(&sc.aux, c.hi, qs)
 	par.RunBlocks(len(qs), trivialMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = clip(c.cqr.Interval(loP[i], hiP[i]))
+			dst[i] = clip(c.cqr.Interval(loP[i], hiP[i]))
 		}
 		return nil
 	})
-	return out, nil
+	return nil
 }
 
-// IntervalBatch implements BatchPI: model estimates and featurisation run
-// batched, and the per-query local thresholds come from the
-// calibration-time neighbour index (k-d tree or bounded-heap scan, itself
-// row-block sharded) instead of a full calibration-set sort per query.
-// Bit-identical to per-query Interval for any worker count.
-func (l *Localized) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	fs := featPool.Get().(*featScratch)
-	defer featPool.Put(fs)
-	feats := fs.featurize(l.appendFeats, l.feats, qs)
-	preds := estimateAll(l.model, qs)
-	out := make([]Interval, len(qs))
-	if err := l.lcp.Intervals(feats, preds, out); err != nil {
-		return nil, err
+// Intervals implements PI: model estimates and featurisation run batched,
+// and the per-query local thresholds come from the calibration-time
+// neighbour index (k-d tree or bounded-heap scan, itself row-block sharded)
+// instead of a full calibration-set sort per query.
+func (l *Localized) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	for i := range out {
-		out[i] = clip(out[i])
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	feats := sc.featurize(l.feats, qs)
+	preds := estimateInto(&sc.preds, l.model, qs)
+	if err := l.lcp.Intervals(feats, preds, dst); err != nil {
+		return err
 	}
-	return out, nil
+	for i := range dst {
+		dst[i] = clip(dst[i])
+	}
+	return nil
 }
 
-// IntervalBatch implements BatchPI: model estimates run batched; each
-// query's weighted threshold is an O(log n) search over the presorted
-// calibration scores, computed in row blocks whose workers reuse one
-// feature buffer each. Bit-identical to per-query Interval for any worker
-// count, including the trivial [0, 1] result when a threshold is infinite.
-func (w *Weighted) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	preds := estimateAll(w.model, qs)
-	out := make([]Interval, len(qs))
-	err := par.RunBlocks(len(qs), ratioMinBlock, func(lo, hi int) error {
+// Intervals implements PI: model estimates run batched; each query's
+// weighted threshold is an O(log n) search over the presorted calibration
+// scores, computed in row blocks whose workers reuse one feature buffer
+// each. Infinite thresholds (calibration uninformative for the query under
+// the shift) clip to the trivial [0, 1] interval.
+func (w *Weighted) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, w.model, qs)
+	return par.RunBlocks(len(qs), ratioMinBlock, func(lo, hi int) error {
 		var buf []float64
 		for i := lo; i < hi; i++ {
-			var x []float64
-			if w.appendFeats != nil {
-				buf = w.appendFeats(qs[i], buf[:0])
-				x = buf
-			} else {
-				x = w.feats(qs[i])
-			}
-			iv, err := w.wcp.Interval(preds[i], w.likelihoodRatioFrom(x))
+			buf = w.feats(qs[i], buf[:0])
+			iv, err := w.wcp.Interval(preds[i], w.likelihoodRatioFrom(buf))
 			if err != nil {
 				return err
 			}
-			out[i] = clip(iv)
+			dst[i] = clip(iv)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// IntervalBatch implements BatchPI: model estimates run batched and each
-// query's group threshold is a map lookup, sharded in row blocks.
-// Bit-identical to per-query Interval for any worker count.
-func (m *Mondrian) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	preds := estimateAll(m.model, qs)
-	out := make([]Interval, len(qs))
+// Intervals implements PI: model estimates run batched and each query's
+// group threshold is a map lookup, sharded in row blocks.
+func (m *Mondrian) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, m.model, qs)
 	par.RunBlocks(len(qs), ratioMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = clip(m.m.Interval(m.group(qs[i]), preds[i]))
+			dst[i] = clip(m.m.Interval(m.group(qs[i]), preds[i]))
 		}
 		return nil
 	})
-	return out, nil
+	return nil
 }
 
-// IntervalBatch implements BatchPI: the full model's estimates run batched
-// and the Algorithm-1 band is applied per estimate in sharded row blocks.
-// Bit-identical to per-query Interval for any worker count.
-func (j *JackknifeCV) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	preds := estimateAll(j.full, qs)
-	out := make([]Interval, len(qs))
+// Intervals implements PI with the Algorithm-1 construction: the full
+// model's estimates run batched and the calibrated K-fold residual band is
+// applied per estimate in sharded row blocks.
+func (j *JackknifeCV) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(sc)
+	preds := estimateInto(&sc.preds, j.full, qs)
 	par.RunBlocks(len(qs), trivialMinBlock, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			out[i] = clip(j.jk.IntervalSimple(preds[i]))
+			dst[i] = clip(j.jk.IntervalSimple(preds[i]))
 		}
 		return nil
 	})
-	return out, nil
+	return nil
 }

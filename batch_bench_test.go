@@ -1,8 +1,8 @@
 package cardpi
 
 // Benchmarks for the batched inference hot path (BENCH_pi.json via
-// `make bench-json`): per-query sequential Interval against IntervalBatch at
-// two batch sizes, for the two wrappers the batch work targets most —
+// `make bench-json`): the single-query IntervalCtx (a batch of one) against
+// Intervals at two batch sizes, for the two wrappers the batch work targets most —
 // localized CP (whose per-query full calibration sort becomes a sublinear
 // neighbour-index lookup) and split CP over the MSCN network (whose
 // per-query forward passes become pooled matrix passes). Every benchmark
@@ -10,6 +10,7 @@ package cardpi
 // queries-per-second speedups across different batch sizes.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ type benchPIState struct {
 	err  error
 	pis  []struct {
 		name string
-		pi   BatchPI
+		pi   PI
 	}
 	qs []workload.Query
 }
@@ -40,7 +41,7 @@ var benchPI benchPIState
 
 func (s *benchPIState) get(b *testing.B) ([]struct {
 	name string
-	pi   BatchPI
+	pi   PI
 }, []workload.Query) {
 	b.Helper()
 	s.once.Do(func() { s.err = s.build() })
@@ -66,15 +67,10 @@ func (s *benchPIState) build() error {
 	train, cal, test := parts[0], parts[1], parts[2]
 
 	hist := histogram.NewSingle(tab, histogram.Config{})
-	feat := estimator.NewFeaturizer(tab)
-	ff := func(q workload.Query) []float64 { return feat.Featurize(q) }
-	lcp, err := WrapLocalized(hist, cal, ff, conformal.ResidualScore{}, 0.1, 50)
+	lcp, err := WrapLocalized(hist, cal, estimator.NewFeaturizer(tab).AppendFeaturize, conformal.ResidualScore{}, 0.1, 50)
 	if err != nil {
 		return err
 	}
-	// The pipeline wires the append-style featurizer on every localized
-	// wrapper it builds; the benchmark measures the same production path.
-	lcp.SetAppendFeatures(feat.AppendFeaturize)
 
 	m, err := mscn.Train(mscn.NewSingleFeaturizer(tab), train, mscn.Config{Epochs: 2, Seed: 7})
 	if err != nil {
@@ -87,7 +83,7 @@ func (s *benchPIState) build() error {
 
 	s.pis = []struct {
 		name string
-		pi   BatchPI
+		pi   PI
 	}{
 		{"lcp", lcp},
 		{"mscn-s-cp", mscnSCP},
@@ -102,16 +98,17 @@ func (s *benchPIState) build() error {
 	return nil
 }
 
-// BenchmarkInterval is the sequential baseline: one scalar Interval call per
-// op, rotating through the test workload.
+// BenchmarkInterval is the sequential baseline: one single-query IntervalCtx
+// call per op, rotating through the test workload.
 func BenchmarkInterval(b *testing.B) {
 	pis, qs := benchPI.get(b)
+	ctx := context.Background()
 	for _, entry := range pis {
 		b.Run(entry.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := entry.pi.Interval(qs[i%len(qs)]); err != nil {
+				if _, err := IntervalCtx(ctx, entry.pi, qs[i%len(qs)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,18 +122,19 @@ func BenchmarkInterval(b *testing.B) {
 // size so the speedup over BenchmarkInterval reads off directly.
 func BenchmarkIntervalBatch(b *testing.B) {
 	pis, qs := benchPI.get(b)
+	ctx := context.Background()
 	for _, entry := range pis {
 		for _, n := range []int{64, 1024} {
 			b.Run(fmt.Sprintf("%s/n=%d", entry.name, n), func(b *testing.B) {
-				batch := qs[:n]
+				batch, dst := qs[:n], make([]Interval, n)
 				// Warm pooled scratch so steady-state cost is measured.
-				if _, err := entry.pi.IntervalBatch(batch); err != nil {
+				if err := entry.pi.Intervals(ctx, batch, dst); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := entry.pi.IntervalBatch(batch); err != nil {
+					if err := entry.pi.Intervals(ctx, batch, dst); err != nil {
 						b.Fatal(err)
 					}
 				}

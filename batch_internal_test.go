@@ -2,6 +2,7 @@ package cardpi
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -28,18 +29,64 @@ func queriesOf(wl *workload.Workload) []workload.Query {
 	return qs
 }
 
-// seqIntervals is the scalar reference path for the in-package batch tests.
+// referenceInterval answers q with pi one query at a time, composing the
+// wrapper's model (per-query EstimateSelectivity) with the conformal
+// package's scalar APIs — an implementation independent of the Intervals
+// batch kernels, which must reproduce it bit for bit. Decorators that do
+// not change intervals (Instrumented) defer to the PI they wrap.
+func referenceInterval(pi PI, q workload.Query) (Interval, error) {
+	switch p := pi.(type) {
+	case *SplitCP:
+		return clip(p.cp.Interval(p.model.EstimateSelectivity(q))), nil
+	case *LocallyWeighted:
+		u := difficulty(p.g, p.feats(q, nil), p.beta)
+		return clip(p.lw.Interval(p.model.EstimateSelectivity(q), u)), nil
+	case *CQR:
+		return clip(p.cqr.Interval(p.lo.EstimateSelectivity(q), p.hi.EstimateSelectivity(q))), nil
+	case *Localized:
+		iv, err := p.lcp.Interval(p.feats(q, nil), p.model.EstimateSelectivity(q))
+		if err != nil {
+			return Interval{}, err
+		}
+		return clip(iv), nil
+	case *Weighted:
+		iv, err := p.wcp.Interval(p.model.EstimateSelectivity(q), p.likelihoodRatioFrom(p.feats(q, nil)))
+		if err != nil {
+			return Interval{}, err
+		}
+		return clip(iv), nil
+	case *Mondrian:
+		return clip(p.m.Interval(p.group(q), p.model.EstimateSelectivity(q))), nil
+	case *JackknifeCV:
+		return clip(p.jk.IntervalSimple(p.full.EstimateSelectivity(q))), nil
+	case *Instrumented:
+		return referenceInterval(p.pi, q)
+	}
+	return Interval{}, fmt.Errorf("no reference composition for %T", pi)
+}
+
+// seqIntervals is the per-query reference path for the in-package batch
+// tests (see referenceInterval).
 func seqIntervals(t *testing.T, pi PI, qs []workload.Query) []Interval {
 	t.Helper()
 	out := make([]Interval, len(qs))
 	for i, q := range qs {
-		iv, err := pi.Interval(q)
+		iv, err := referenceInterval(pi, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 		out[i] = iv
 	}
 	return out
+}
+
+// batchIntervals answers qs with one Intervals call.
+func batchIntervals(pi PI, qs []workload.Query) ([]Interval, error) {
+	out := make([]Interval, len(qs))
+	if err := pi.Intervals(context.Background(), qs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // sameBits fails unless got matches want exactly (Float64bits on both ends).
@@ -69,7 +116,7 @@ func TestIntervalBatchWeighted(t *testing.T) {
 	}
 	qs := queriesOf(test)
 	want := seqIntervals(t, pi, qs)
-	got, err := pi.IntervalBatch(qs)
+	got, err := batchIntervals(pi, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,34 +134,7 @@ func TestIntervalBatchJackknife(t *testing.T) {
 	}
 	qs := queriesOf(test)
 	want := seqIntervals(t, pi, qs)
-	got, err := pi.IntervalBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, want, got)
-}
-
-// seqOnlyPI hides the embedded PI's batch method behind an interface that
-// only promotes the scalar API, forcing the package-level dispatcher onto
-// its generic worker-pool fallback.
-type seqOnlyPI struct{ PI }
-
-// TestIntervalBatchGenericFallback proves the fallback path of the
-// package-level IntervalBatch: a PI without a native batch method still gets
-// bit-identical batched answers.
-func TestIntervalBatchGenericFallback(t *testing.T) {
-	model, _, _, cal, test := fixture(t)
-	base, err := WrapSplitCP(model, cal, conformal.ResidualScore{}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := seqOnlyPI{base}
-	if _, ok := interface{}(wrapped).(BatchPI); ok {
-		t.Fatal("seqOnlyPI must not implement BatchPI")
-	}
-	qs := queriesOf(test)
-	want := seqIntervals(t, base, qs)
-	got, err := IntervalBatch(wrapped, qs)
+	got, err := batchIntervals(pi, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +152,7 @@ func TestIntervalBatchInstrumented(t *testing.T) {
 	in := Instrument(base, obs.NewRegistry())
 	qs := queriesOf(test)
 	want := seqIntervals(t, base, qs)
-	got, err := in.IntervalBatch(qs)
+	got, err := batchIntervals(in, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +174,7 @@ func TestIntervalBatchResilient(t *testing.T) {
 	}
 	qs := queriesOf(test)
 	want := seqIntervals(t, base, qs)
-	got, err := r.IntervalBatch(qs)
+	got, err := batchIntervals(r, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +210,9 @@ func TestIntervalBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 3; iter++ {
-				got, err := base.IntervalBatch(qs)
+				got, err := batchIntervals(base, qs)
 				if err != nil {
-					t.Errorf("IntervalBatch: %v", err)
+					t.Errorf("Intervals: %v", err)
 					return
 				}
 				for i := range want {
@@ -209,8 +229,8 @@ func TestIntervalBatchConcurrent(t *testing.T) {
 }
 
 // TestIntervalBatchAllocs is the steady-state allocation guard: once warm, a
-// 256-query IntervalBatch performs a constant number of heap allocations
-// (the two result slices), i.e. zero allocations per query. The guard
+// 256-query Intervals call performs a constant number of heap allocations,
+// i.e. zero allocations per query. The guard
 // compares a large batch against a small one so the bound is about scaling,
 // not about the fixed per-call cost.
 func TestIntervalBatchAllocs(t *testing.T) {
@@ -267,20 +287,22 @@ func TestIntervalBatchAllocsMSCN(t *testing.T) {
 // assertConstantBatchAllocs measures warm per-batch allocations at two batch
 // sizes and fails if the count grows with the batch, or if the fixed
 // per-call overhead exceeds a handful of slice headers.
-func assertConstantBatchAllocs(t *testing.T, pi BatchPI, qs []workload.Query) {
+func assertConstantBatchAllocs(t *testing.T, pi PI, qs []workload.Query) {
 	t.Helper()
+	ctx := context.Background()
 	small, big := qs[:16], qs
+	dst := make([]Interval, len(big))
 	// Warm pooled scratch on the largest shape first.
-	if _, err := pi.IntervalBatch(big); err != nil {
+	if err := pi.Intervals(ctx, big, dst); err != nil {
 		t.Fatal(err)
 	}
 	allocsSmall := testing.AllocsPerRun(20, func() {
-		if _, err := pi.IntervalBatch(small); err != nil {
+		if err := pi.Intervals(ctx, small, dst[:len(small)]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	allocsBig := testing.AllocsPerRun(20, func() {
-		if _, err := pi.IntervalBatch(big); err != nil {
+		if err := pi.Intervals(ctx, big, dst); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -318,11 +340,10 @@ func TestIntervalBatchAllocsLocalized(t *testing.T) {
 	}
 	model := histogram.NewSingle(tab, histogram.Config{})
 	feat := estimator.NewFeaturizer(tab)
-	lcp, err := WrapLocalized(model, parts[0], feat.Featurize, conformal.ResidualScore{}, 0.1, 20)
+	lcp, err := WrapLocalized(model, parts[0], feat.AppendFeaturize, conformal.ResidualScore{}, 0.1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcp.SetAppendFeatures(feat.AppendFeaturize)
 	qs := queriesOf(parts[1])[:256]
 	assertConstantBatchAllocs(t, lcp, qs)
 }

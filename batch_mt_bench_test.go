@@ -7,6 +7,7 @@ package cardpi
 // W, so the matrix isolates pure fan-out cost and multi-core speedup.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -29,26 +30,27 @@ func mtWorkerCounts() []int {
 }
 
 // BenchmarkIntervalBatchMT sweeps the batch worker count over a 1024-query
-// IntervalBatch; ns/query divides whole-batch latency by the batch size, so
+// Intervals call; ns/query divides whole-batch latency by the batch size, so
 // W=k vs W=1 reads off as the multi-core speedup (and, on a single-core box,
 // as the fan-out overhead the row-block design keeps within noise).
 func BenchmarkIntervalBatchMT(b *testing.B) {
 	pis, qs := benchPI.get(b)
+	ctx := context.Background()
 	defer par.SetBatchWorkers(0)
 	const n = 1024
 	for _, entry := range pis {
 		for _, w := range mtWorkerCounts() {
 			b.Run(fmt.Sprintf("%s/n=%d/W=%d", entry.name, n, w), func(b *testing.B) {
 				par.SetBatchWorkers(w)
-				batch := qs[:n]
+				batch, dst := qs[:n], make([]Interval, n)
 				// Warm pooled scratch so steady-state cost is measured.
-				if _, err := entry.pi.IntervalBatch(batch); err != nil {
+				if err := entry.pi.Intervals(ctx, batch, dst); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := entry.pi.IntervalBatch(batch); err != nil {
+					if err := entry.pi.Intervals(ctx, batch, dst); err != nil {
 						b.Fatal(err)
 					}
 				}

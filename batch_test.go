@@ -2,6 +2,7 @@ package cardpi_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -22,19 +23,29 @@ func comboConfig(model, method string) pipeline.Config {
 	}
 }
 
-// sequentialIntervals answers qs one query at a time through the scalar
-// Interval path, the reference the batch path must reproduce bit for bit.
+// sequentialIntervals answers qs one query at a time through the per-query
+// reference composition (model estimate + conformal scalar API), the
+// reference the batch path must reproduce bit for bit.
 func sequentialIntervals(t *testing.T, pi cardpi.PI, qs []workload.Query) []cardpi.Interval {
 	t.Helper()
 	out := make([]cardpi.Interval, len(qs))
 	for i, q := range qs {
-		iv, err := pi.Interval(q)
+		iv, err := cardpi.ReferenceInterval(pi, q)
 		if err != nil {
-			t.Fatalf("query %d: sequential Interval: %v", i, err)
+			t.Fatalf("query %d: sequential reference: %v", i, err)
 		}
 		out[i] = iv
 	}
 	return out
+}
+
+// batchIntervals answers qs with one Intervals call.
+func batchIntervals(pi cardpi.PI, qs []workload.Query) ([]cardpi.Interval, error) {
+	out := make([]cardpi.Interval, len(qs))
+	if err := pi.Intervals(context.Background(), qs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // assertBitIdentical fails unless got equals want under Float64bits on both
@@ -54,8 +65,8 @@ func assertBitIdentical(t *testing.T, label string, want, got []cardpi.Interval)
 }
 
 // TestIntervalBitIdentityAllCombos proves the tentpole contract for every
-// valid model x method pair the pipeline can build: IntervalBatch returns
-// exactly the intervals the per-query Interval path returns, over a
+// valid model x method pair the pipeline can build: Intervals returns
+// exactly the intervals the per-query reference composition returns, over a
 // 500-query probe workload — at every batch worker count, since the
 // row-block sharding must never change a single bit. For the histogram
 // family (and one learned spot-check) the same identity is asserted after an
@@ -93,11 +104,19 @@ func TestIntervalBitIdentityAllCombos(t *testing.T) {
 					t.Fatalf("%s: %v", method.Name, err)
 				}
 				t.Run(method.Name, func(t *testing.T) {
-					bp, ok := pi.(cardpi.BatchPI)
-					if !ok {
-						t.Fatalf("%s does not implement BatchPI", pi.Name())
-					}
 					want := sequentialIntervals(t, pi, qs)
+
+					// The single-query entry point is a batch of one and must
+					// reproduce the same bits.
+					single := make([]cardpi.Interval, len(qs))
+					for i, q := range qs {
+						iv, err := cardpi.IntervalCtx(context.Background(), pi, q)
+						if err != nil {
+							t.Fatalf("query %d: IntervalCtx: %v", i, err)
+						}
+						single[i] = iv
+					}
+					assertBitIdentical(t, "IntervalCtx", want, single)
 
 					// Artifact round-trip: cheap for the histogram family,
 					// plus one learned spot-check (mscn + localized, whose
@@ -126,24 +145,16 @@ func TestIntervalBitIdentityAllCombos(t *testing.T) {
 					for _, wk := range []int{1, 2, 3, runtime.NumCPU()} {
 						par.SetBatchWorkers(wk)
 						label := fmt.Sprintf("W=%d", wk)
-						got, err := bp.IntervalBatch(qs)
+						got, err := batchIntervals(pi, qs)
 						if err != nil {
-							t.Fatalf("%s: IntervalBatch: %v", label, err)
+							t.Fatalf("%s: Intervals: %v", label, err)
 						}
 						assertBitIdentical(t, "live "+label, want, got)
 
-						// The package-level dispatcher must take the same
-						// native path.
-						got2, err := cardpi.IntervalBatch(pi, qs)
-						if err != nil {
-							t.Fatalf("%s: cardpi.IntervalBatch: %v", label, err)
-						}
-						assertBitIdentical(t, "dispatcher "+label, want, got2)
-
 						if loadedPI != nil {
-							rehydrated, err := cardpi.IntervalBatch(loadedPI, qs)
+							rehydrated, err := batchIntervals(loadedPI, qs)
 							if err != nil {
-								t.Fatalf("%s: rehydrated IntervalBatch: %v", label, err)
+								t.Fatalf("%s: rehydrated Intervals: %v", label, err)
 							}
 							assertBitIdentical(t, "rehydrated "+label, want, rehydrated)
 						}

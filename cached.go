@@ -27,15 +27,15 @@ type CacheConfig struct {
 
 // Cached memoizes a PI behind the epoch-invalidated interval cache
 // (internal/cache): repeated intervals for semantically identical queries
-// are served from memory, and N concurrent misses on one key execute
-// exactly one underlying Interval call (singleflight).
+// are served from memory, and N concurrent single-miss calls on one key
+// execute exactly one underlying call (singleflight).
 //
 // Identity is the canonical query key — predicate order and equivalent
 // range forms are normalized before hashing — and on a miss the wrapped PI
 // is invoked with the canonicalized query, so every variant of a query
 // maps to one bit-exact result: for any q1, q2 with equal canonical forms,
-// Interval(q1) and Interval(q2) return identical bits, equal to
-// pi.Interval(workload.Canonicalize(q1)). For already-canonical queries
+// both are answered with identical bits, equal to the wrapped PI's interval
+// for workload.Canonicalize(q1). For already-canonical queries
 // (anything from ParseQuery or the workload generator) this is
 // indistinguishable from the uncached wrapper.
 //
@@ -72,62 +72,19 @@ func NewCached(pi PI, cfg CacheConfig) (*Cached, error) {
 // Name identifies the wrapper and its inner method, e.g. "cached/s-cp/spn".
 func (cc *Cached) Name() string { return "cached/" + cc.pi.Name() }
 
-// Interval returns the cached interval for q's canonical form, computing
-// (and storing) it through the wrapped PI on a miss. Concurrent misses on
-// one key coalesce into a single underlying call; every caller gets the
-// leader's result (or error — errors are never cached).
-func (cc *Cached) Interval(q workload.Query) (Interval, error) {
-	k := cache.KeyOf(q)
-	if r, ok := cc.c.Get(k); ok {
-		return Interval{Lo: r.Lo, Hi: r.Hi}, nil
-	}
-	r, _, _, err := cc.c.Do(k, func() (cache.Result, uint64, bool, error) {
-		iv, err := cc.pi.Interval(workload.Canonicalize(q))
-		if err != nil {
-			return cache.Result{}, 0, false, err
-		}
-		return cache.Result{Lo: iv.Lo, Hi: iv.Hi}, 0, true, nil
-	})
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Lo: r.Lo, Hi: r.Hi}, nil
-}
-
-// IntervalCtx is Interval under a context: hits and coalesced waits are
-// served regardless (they cost no model work); a miss checks ctx before
-// computing and forwards it to a context-aware inner PI.
-func (cc *Cached) IntervalCtx(ctx context.Context, q workload.Query) (Interval, error) {
-	k := cache.KeyOf(q)
-	if r, ok := cc.c.Get(k); ok {
-		return Interval{Lo: r.Lo, Hi: r.Hi}, nil
-	}
+// Intervals implements PI: it probes the cache per element and computes
+// only the misses through the wrapped PI, on their canonical forms. A call
+// with exactly one miss goes through the cache's singleflight, so
+// concurrent misses on one key across requests execute one underlying
+// call; several misses make one batched underlying call (within-batch
+// duplicates are computed together, without cross-request coalescing).
+// Results are bit-identical either way, and errors are never cached. A
+// call whose ctx is already done returns ctx.Err(); the miss path forwards
+// ctx to the wrapped PI. An all-hit call performs zero heap allocations.
+func (cc *Cached) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
 	if err := ctx.Err(); err != nil {
-		return Interval{}, err
+		return err
 	}
-	r, _, _, err := cc.c.Do(k, func() (cache.Result, uint64, bool, error) {
-		iv, err := IntervalCtx(ctx, cc.pi, workload.Canonicalize(q))
-		if err != nil {
-			return cache.Result{}, 0, false, err
-		}
-		return cache.Result{Lo: iv.Lo, Hi: iv.Hi}, 0, true, nil
-	})
-	if err != nil {
-		return Interval{}, err
-	}
-	return Interval{Lo: r.Lo, Hi: r.Hi}, nil
-}
-
-// IntervalBatch probes the cache per element and coalesces only the misses
-// into one batched call on the wrapped PI (its native BatchPI path when it
-// has one), preserving the batch ≡ sequential bit-identity contract. A
-// miss-path error fails the whole batch, matching IntervalBatch's
-// all-or-nothing semantics. Within-batch duplicate misses are computed
-// together in the one underlying call (they do not cross-request
-// singleflight); steady-state all-hit batches allocate only the result
-// slice.
-func (cc *Cached) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	out := make([]Interval, len(qs))
 	epoch := cc.c.Epoch().Load()
 	var missQs []workload.Query
 	var missKeys []cache.Key
@@ -135,25 +92,39 @@ func (cc *Cached) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 	for i, q := range qs {
 		k := cache.KeyOf(q)
 		if r, ok := cc.c.Get(k); ok {
-			out[i] = Interval{Lo: r.Lo, Hi: r.Hi}
+			dst[i] = Interval{Lo: r.Lo, Hi: r.Hi}
 			continue
 		}
 		missQs = append(missQs, workload.Canonicalize(q))
 		missKeys = append(missKeys, k)
 		missIdx = append(missIdx, i)
 	}
-	if len(missQs) == 0 {
-		return out, nil
+	switch len(missIdx) {
+	case 0:
+		return nil
+	case 1:
+		r, _, _, err := cc.c.Do(missKeys[0], func() (cache.Result, uint64, bool, error) {
+			iv, err := IntervalCtx(ctx, cc.pi, missQs[0])
+			if err != nil {
+				return cache.Result{}, 0, false, err
+			}
+			return cache.Result{Lo: iv.Lo, Hi: iv.Hi}, 0, true, nil
+		})
+		if err != nil {
+			return err
+		}
+		dst[missIdx[0]] = Interval{Lo: r.Lo, Hi: r.Hi}
+		return nil
 	}
-	ivs, err := IntervalBatch(cc.pi, missQs)
-	if err != nil {
-		return nil, err
+	ivs := make([]Interval, len(missQs))
+	if err := cc.pi.Intervals(ctx, missQs, ivs); err != nil {
+		return err
 	}
 	for j, i := range missIdx {
-		out[i] = ivs[j]
+		dst[i] = ivs[j]
 		cc.c.Put(missKeys[j], epoch, cache.Result{Lo: ivs[j].Lo, Hi: ivs[j].Hi})
 	}
-	return out, nil
+	return nil
 }
 
 // Invalidate bumps the cache epoch: every cached interval becomes

@@ -1,6 +1,7 @@
 package cardpi
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -14,8 +15,9 @@ import (
 	"cardpi/internal/workload"
 )
 
-// countingPI wraps a PI and counts Interval invocations, optionally holding
-// each call open on a gate so concurrency tests can pin the flight state.
+// countingPI wraps a PI and counts the queries it is asked to answer,
+// optionally holding each call open on a gate so concurrency tests can pin
+// the flight state.
 type countingPI struct {
 	inner PI
 	calls atomic.Int64
@@ -24,12 +26,12 @@ type countingPI struct {
 
 func (c *countingPI) Name() string { return c.inner.Name() }
 
-func (c *countingPI) Interval(q workload.Query) (Interval, error) {
-	c.calls.Add(1)
+func (c *countingPI) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	c.calls.Add(int64(len(qs)))
 	if c.gate != nil {
 		<-c.gate
 	}
-	return c.inner.Interval(q)
+	return c.inner.Intervals(ctx, qs, dst)
 }
 
 func newCachedFixture(t *testing.T) (*countingPI, *Cached, *workload.Workload) {
@@ -54,12 +56,12 @@ func newCachedFixture(t *testing.T) (*countingPI, *Cached, *workload.Workload) {
 func TestCachedBitIdentity(t *testing.T) {
 	counting, cached, test := newCachedFixture(t)
 	for _, lq := range test.Queries {
-		want, err := counting.inner.Interval(workload.Canonicalize(lq.Query))
+		want, err := referenceInterval(counting.inner, workload.Canonicalize(lq.Query))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := cached.Interval(lq.Query)
+			got, err := interval(cached, lq.Query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +95,7 @@ func TestCachedCanonicalVariantsShareEntry(t *testing.T) {
 	}
 	var first Interval
 	for i, q := range variants {
-		iv, err := cached.Interval(q)
+		iv, err := interval(cached, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +114,7 @@ func TestCachedCanonicalVariantsShareEntry(t *testing.T) {
 }
 
 // TestCachedSingleflight: N concurrent misses on one key execute exactly
-// one underlying Interval call.
+// one underlying Intervals call.
 func TestCachedSingleflight(t *testing.T) {
 	counting, cached, test := newCachedFixture(t)
 	counting.gate = make(chan struct{})
@@ -125,7 +127,7 @@ func TestCachedSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			if _, err := cached.Interval(q); err != nil {
+			if _, err := interval(cached, q); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -157,12 +159,12 @@ func TestCachedBatchMissCoalescing(t *testing.T) {
 	}
 	// Warm the first half through the single path.
 	for _, q := range qs[:4] {
-		if _, err := cached.Interval(q); err != nil {
+		if _, err := interval(cached, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	warmCalls := counting.calls.Load()
-	got, err := cached.IntervalBatch(qs)
+	got, err := batchIntervals(cached, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestCachedBatchMissCoalescing(t *testing.T) {
 		t.Fatalf("batch recomputed %d queries, want the 4 cold ones only", miss)
 	}
 	for i, q := range qs {
-		want, err := counting.inner.Interval(q)
+		want, err := referenceInterval(counting.inner, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +183,14 @@ func TestCachedBatchMissCoalescing(t *testing.T) {
 	}
 	// A fully warm batch performs no underlying calls and bounded allocs.
 	calls := counting.calls.Load()
-	if _, err := cached.IntervalBatch(qs); err != nil {
+	if _, err := batchIntervals(cached, qs); err != nil {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != calls {
 		t.Fatal("warm batch re-invoked the underlying PI")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := cached.IntervalBatch(qs); err != nil {
+		if _, err := batchIntervals(cached, qs); err != nil {
 			panic(err)
 		}
 	})
@@ -203,11 +205,11 @@ func TestCachedBatchMissCoalescing(t *testing.T) {
 func TestCachedHitZeroAllocs(t *testing.T) {
 	_, cached, test := newCachedFixture(t)
 	q := test.Queries[0].Query
-	if _, err := cached.Interval(q); err != nil {
+	if _, err := interval(cached, q); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := cached.Interval(q); err != nil {
+		if _, err := interval(cached, q); err != nil {
 			panic(err)
 		}
 	}); n != 0 {
@@ -220,17 +222,17 @@ func TestCachedHitZeroAllocs(t *testing.T) {
 func TestCachedInvalidate(t *testing.T) {
 	counting, cached, test := newCachedFixture(t)
 	q := test.Queries[0].Query
-	if _, err := cached.Interval(q); err != nil {
+	if _, err := interval(cached, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cached.Interval(q); err != nil {
+	if _, err := interval(cached, q); err != nil {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != 1 {
 		t.Fatalf("calls = %d before invalidate, want 1", counting.calls.Load())
 	}
 	cached.Invalidate()
-	if _, err := cached.Interval(q); err != nil {
+	if _, err := interval(cached, q); err != nil {
 		t.Fatal(err)
 	}
 	if counting.calls.Load() != 2 {
@@ -252,7 +254,7 @@ func TestCachedMetrics(t *testing.T) {
 	}
 	q := test.Queries[0].Query
 	for i := 0; i < 3; i++ {
-		if _, err := cached.Interval(q); err != nil {
+		if _, err := interval(cached, q); err != nil {
 			t.Fatal(err)
 		}
 	}

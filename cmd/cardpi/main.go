@@ -43,6 +43,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -157,7 +158,7 @@ func runJoins(dsName string, alpha float64, rows, queries int, seed int64, args 
 			fmt.Printf("error: %v\n", err)
 			return
 		}
-		iv, err := pi.Interval(q)
+		iv, err := cardpi.IntervalCtx(context.Background(), pi, q)
 		if err != nil {
 			fmt.Printf("error: %v\n", err)
 			return
@@ -214,7 +215,7 @@ func run(cfg pipeline.Config, args []string) error {
 			fmt.Printf("error: %v\n", err)
 			return
 		}
-		iv, err := pi.Interval(q)
+		iv, err := cardpi.IntervalCtx(context.Background(), pi, q)
 		if err != nil {
 			fmt.Printf("error: %v\n", err)
 			return

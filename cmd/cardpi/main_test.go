@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cardpi"
 	"cardpi/internal/pipeline"
 )
 
@@ -47,7 +49,7 @@ func TestCQRBuildsWithPinballModel(t *testing.T) {
 	if got := s.PI.Name(); !strings.HasPrefix(got, "cqr/") {
 		t.Fatalf("pi name = %q, want cqr/*", got)
 	}
-	iv, err := s.PI.Interval(s.Cal.Queries[0].Query)
+	iv, err := cardpi.IntervalCtx(context.Background(), s.PI, s.Cal.Queries[0].Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestServeValidationStructuredErrors(t *testing.T) {
 	}
 }
 
-// blockingPI parks inside Interval until released (or the context dies),
+// blockingPI parks inside Intervals until released (or the context dies),
 // signalling entry — the deterministic way to hold an execution slot.
 type blockingPI struct {
 	inner   cardpi.PI
@@ -124,10 +124,7 @@ type blockingPI struct {
 }
 
 func (b *blockingPI) Name() string { return b.inner.Name() }
-func (b *blockingPI) Interval(q workload.Query) (cardpi.Interval, error) {
-	return b.IntervalCtx(context.Background(), q)
-}
-func (b *blockingPI) IntervalCtx(ctx context.Context, q workload.Query) (cardpi.Interval, error) {
+func (b *blockingPI) Intervals(ctx context.Context, qs []workload.Query, dst []cardpi.Interval) error {
 	select {
 	case b.entered <- struct{}{}:
 	default:
@@ -135,9 +132,9 @@ func (b *blockingPI) IntervalCtx(ctx context.Context, q workload.Query) (cardpi.
 	select {
 	case <-b.release:
 	case <-ctx.Done():
-		return cardpi.Interval{}, ctx.Err()
+		return ctx.Err()
 	}
-	return b.inner.Interval(q)
+	return b.inner.Intervals(ctx, qs, dst)
 }
 
 func TestServeShedsWhenSaturated(t *testing.T) {
@@ -282,6 +279,41 @@ func TestServeChaosNo5xx(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestServeBatchHonoursDeadline: /estimate/batch runs its chain under the
+// request deadline (-timeout), so a primary PI stuck in a latency fault ten
+// times longer than the deadline still yields a prompt 200 whose rows are
+// all served below the primary.
+func TestServeBatchHonoursDeadline(t *testing.T) {
+	setup := smallSetup(t)
+	setup.PI = faultinject.WrapPI(setup.PI, faultinject.MustPlan(faultinject.Spec{
+		Latency: 1, Delay: 500 * time.Millisecond,
+	}))
+	ts, _, _ := startServer(t, setup, serveOpts{timeout: 50 * time.Millisecond})
+	start := time.Now()
+	resp := postBatch(t, ts, []string{"state = 3", "county = 10"})
+	elapsed := time.Since(start)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("batch status = %d, body %s", resp.StatusCode, b)
+	}
+	if elapsed >= 150*time.Millisecond {
+		t.Fatalf("batch took %s under a 50ms -timeout", elapsed)
+	}
+	var br batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 2 {
+		t.Fatalf("got %d results, want 2", len(br.Results))
+	}
+	for i, er := range br.Results {
+		if er.ServedBy == "primary" || !er.Degraded {
+			t.Fatalf("row %d served_by %q degraded %v; want a stage below the primary", i, er.ServedBy, er.Degraded)
 		}
 	}
 }

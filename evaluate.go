@@ -8,15 +8,14 @@ import (
 
 	"cardpi/internal/conformal"
 	"cardpi/internal/obs"
-	"cardpi/internal/par"
 	"cardpi/internal/workload"
 )
 
 // Evaluation summarises a PI method over a test workload: empirical
 // coverage, interval width statistics (in selectivity units), and per-query
-// inference latency. Each pi.Interval call is timed individually, so
-// MeanPITime and P99PITime describe the per-call latency distribution
-// rather than an average smeared over the whole loop.
+// inference latency. The workload is answered in chunks of evaluateChunk
+// queries, one Intervals call each, and every query is charged its chunk's
+// amortised per-query latency — the figure a batched caller pays.
 type Evaluation struct {
 	// Name is the evaluated method's PI.Name() (e.g. "s-cp/spn").
 	Name string
@@ -27,7 +26,7 @@ type Evaluation struct {
 	// selectivity units.
 	Widths conformal.WidthStats
 	// MeanPITime and P99PITime are the mean and nearest-rank 99th
-	// percentile of per-call Interval wall time; see EXPERIMENTS.md
+	// percentile of per-query Intervals wall time; see EXPERIMENTS.md
 	// ("Reading the numbers") for how to interpret them.
 	MeanPITime time.Duration
 	// P99PITime is the per-call p99 latency companion to MeanPITime.
@@ -36,10 +35,9 @@ type Evaluation struct {
 	Intervals []Interval
 }
 
-// Evaluate runs a PI method over every query of a test workload. Queries are
-// dispatched across a bounded worker pool — every PI implementation in this
-// package is safe for concurrent Interval calls — and Intervals stays in
-// workload order regardless of scheduling.
+// Evaluate runs a PI method over every query of a test workload, in
+// workload-ordered chunks; the PI's own batch path shards each chunk over
+// the batch worker pool, and Intervals stays in workload order.
 //
 // Evaluate also publishes its results on the process-wide obs registry
 // (obs.Default()), labeled by the method's Name(): a run counter, the latest
@@ -51,10 +49,9 @@ func Evaluate(pi PI, test *workload.Workload) (*Evaluation, error) {
 	return EvaluateCtx(context.Background(), pi, test)
 }
 
-// EvaluateCtx is Evaluate under a context: each per-query Interval call goes
-// through the IntervalCtx shim (context-aware PIs see the deadline), workers
-// stop dispatching once ctx is cancelled, and the evaluation returns
-// ctx.Err(). Units and metrics behaviour match Evaluate.
+// EvaluateCtx is Evaluate under a context: every Intervals call sees ctx,
+// no further chunk is dispatched once ctx is cancelled, and the evaluation
+// returns ctx.Err(). Units and metrics behaviour match Evaluate.
 func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluation, error) {
 	if test == nil || len(test.Queries) == 0 {
 		return nil, fmt.Errorf("cardpi: empty test workload")
@@ -64,36 +61,34 @@ func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluati
 	var lat *obs.Histogram
 	if _, instrumented := pi.(*Instrumented); !instrumented {
 		lat = reg.Histogram("cardpi_pi_latency_seconds",
-			"Per-call PI.Interval latency in seconds, by method.", obs.LatencyBuckets, method)
+			"Per-query PI.Intervals latency in seconds, by method.", obs.LatencyBuckets, method)
 	}
 	intervals := make([]Interval, len(test.Queries))
 	truths := make([]float64, len(test.Queries))
 	times := make([]time.Duration, len(test.Queries))
-	var err error
-	if bp, ok := pi.(BatchPI); ok {
-		err = evaluateBatched(ctx, bp, test, intervals, truths, times, lat)
-	} else {
-		err = par.ForEach(len(test.Queries), func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lq := test.Queries[i]
-			qStart := time.Now()
-			iv, err := IntervalCtx(ctx, pi, lq.Query)
-			times[i] = time.Since(qStart)
+	chunk := make([]workload.Query, 0, evaluateChunk)
+	for start := 0; start < len(test.Queries); start += evaluateChunk {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		end := min(start+evaluateChunk, len(test.Queries))
+		chunk = chunk[:0]
+		for i := start; i < end; i++ {
+			chunk = append(chunk, test.Queries[i].Query)
+			truths[i] = test.Queries[i].Sel
+		}
+		chunkStart := time.Now()
+		err := pi.Intervals(ctx, chunk, intervals[start:end])
+		perQuery := time.Since(chunkStart) / time.Duration(len(chunk))
+		if err != nil {
+			return nil, err
+		}
+		for i := start; i < end; i++ {
+			times[i] = perQuery
 			if lat != nil {
-				lat.Observe(times[i].Seconds())
+				lat.Observe(perQuery.Seconds())
 			}
-			if err != nil {
-				return err
-			}
-			intervals[i] = iv
-			truths[i] = lq.Sel
-			return nil
-		})
-	}
-	if err != nil {
-		return nil, err
+		}
 	}
 	cov, err := conformal.Coverage(intervals, truths)
 	if err != nil {
@@ -120,43 +115,10 @@ func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluati
 	}, nil
 }
 
-// evaluateChunk bounds how many queries EvaluateCtx hands to one
-// IntervalBatch call: large enough to amortise the batch path's fixed costs,
-// small enough that cancellation is honoured promptly between chunks.
+// evaluateChunk bounds how many queries EvaluateCtx hands to one Intervals
+// call: large enough to amortise the batch path's fixed costs, small enough
+// that cancellation is honoured promptly between chunks.
 const evaluateChunk = 256
-
-// evaluateBatched drives a BatchPI through the test workload in chunks.
-// Per-query wall time is the chunk duration divided by the chunk size —
-// IntervalBatch answers all of a chunk's queries at once, so amortised
-// latency is the honest per-query figure (and the one serving pays).
-func evaluateBatched(ctx context.Context, pi BatchPI, test *workload.Workload,
-	intervals []Interval, truths []float64, times []time.Duration, lat *obs.Histogram) error {
-	for start := 0; start < len(test.Queries); start += evaluateChunk {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := min(start+evaluateChunk, len(test.Queries))
-		chunk := make([]workload.Query, end-start)
-		for i := range chunk {
-			chunk[i] = test.Queries[start+i].Query
-		}
-		chunkStart := time.Now()
-		ivs, err := pi.IntervalBatch(chunk)
-		perQuery := time.Since(chunkStart) / time.Duration(len(chunk))
-		if err != nil {
-			return err
-		}
-		for i, iv := range ivs {
-			intervals[start+i] = iv
-			truths[start+i] = test.Queries[start+i].Sel
-			times[start+i] = perQuery
-			if lat != nil {
-				lat.Observe(perQuery.Seconds())
-			}
-		}
-	}
-	return nil
-}
 
 // latencyStats reduces per-call durations to their mean and p99 (nearest-
 // rank, clamped to the maximum for small samples).

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -68,7 +69,7 @@ func main() {
 	// alarm.
 	hits := 0
 	for _, lq := range live.Queries {
-		iv, err := adaptive.Interval(lq.Query)
+		iv, err := cardpi.IntervalCtx(context.Background(), adaptive, lq.Query)
 		if err != nil {
 			log.Fatal(err)
 		}

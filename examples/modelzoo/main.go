@@ -39,8 +39,7 @@ func main() {
 	}
 	train, cal, test := parts[0], parts[1], parts[2]
 
-	feat := estimator.NewFeaturizer(tab)
-	feats := func(q workload.Query) []float64 { return feat.Featurize(q) }
+	feats := estimator.NewFeaturizer(tab).AppendFeaturize
 
 	fmt.Printf("%-8s %-9s %-9s %-11s %s\n", "model", "method", "coverage", "meanWidth", "latency")
 
@@ -116,7 +115,7 @@ func main() {
 }
 
 func report(name string, model, qlo, qhi cardpi.Estimator, trainer cardpi.TrainFunc,
-	folds []cardpi.Estimator, feats cardpi.FeatureFunc, train, cal, test *workload.Workload) {
+	folds []cardpi.Estimator, feats cardpi.AppendFeatureFunc, train, cal, test *workload.Workload) {
 	show := func(method string, pi cardpi.PI) {
 		ev, err := cardpi.Evaluate(pi, test)
 		if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 	// 4. Intervals for individual queries.
 	fmt.Println("sample prediction intervals (selectivity):")
 	for _, lq := range test.Queries[:5] {
-		iv, err := pi.Interval(lq.Query)
+		iv, err := cardpi.IntervalCtx(context.Background(), pi, lq.Query)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,11 +16,12 @@ import (
 //	cardpi_pi_errors_total{method=...}
 //	cardpi_pi_latency_seconds{method=...}   (histogram)
 //
-// where method is the wrapped PI's Name() (e.g. "s-cp/spn"). Recording is
-// allocation-free — three atomic operations around the inner Interval call —
-// so wrapping does not disturb the hot path (see BenchmarkInstrumentedInterval).
+// where method is the wrapped PI's Name() (e.g. "s-cp/spn"); every series
+// counts queries, not calls. Recording is allocation-free — a few atomic
+// operations per query around the inner Intervals call — so wrapping does
+// not disturb the hot path (see BenchmarkInstrumentedInterval).
 // Instrumented is safe for concurrent use whenever the wrapped PI is; every
-// PI in this package is safe for concurrent Interval calls.
+// PI in this package is safe for concurrent Intervals calls.
 type Instrumented struct {
 	pi    PI
 	calls *obs.Counter
@@ -39,10 +40,10 @@ func Instrument(pi PI, reg *obs.Registry) *Instrumented {
 	method := obs.L("method", pi.Name())
 	return &Instrumented{
 		pi:    pi,
-		calls: reg.Counter("cardpi_pi_calls_total", "PI.Interval calls by method.", method),
-		errs:  reg.Counter("cardpi_pi_errors_total", "PI.Interval calls that returned an error, by method.", method),
+		calls: reg.Counter("cardpi_pi_calls_total", "Queries answered through PI.Intervals, by method.", method),
+		errs:  reg.Counter("cardpi_pi_errors_total", "Queries in PI.Intervals calls that returned an error, by method.", method),
 		lat: reg.Histogram("cardpi_pi_latency_seconds",
-			"Per-call PI.Interval latency in seconds, by method.", obs.LatencyBuckets, method),
+			"Per-query PI.Intervals latency in seconds, by method.", obs.LatencyBuckets, method),
 	}
 }
 
@@ -50,55 +51,27 @@ func Instrument(pi PI, reg *obs.Registry) *Instrumented {
 // and bare wrappers are interchangeable in reports.
 func (in *Instrumented) Name() string { return in.pi.Name() }
 
-// Interval implements PI: it delegates to the wrapped method and records
-// the call count, latency, and error count. Units of the returned interval
-// are unchanged (normalised selectivity in [0, 1]).
-func (in *Instrumented) Interval(q workload.Query) (Interval, error) {
-	start := time.Now()
-	iv, err := in.pi.Interval(q)
-	in.lat.Observe(time.Since(start).Seconds())
-	in.calls.Inc()
-	if err != nil {
-		in.errs.Inc()
-	}
-	return iv, err
-}
-
-// IntervalCtx implements ContextPI: it forwards the context to the wrapped
-// PI (via the IntervalCtx shim, so plain PIs keep working) and records the
-// same call/latency/error metrics as Interval. Cancellations and deadline
-// expiries count as errors.
-func (in *Instrumented) IntervalCtx(ctx context.Context, q workload.Query) (Interval, error) {
-	start := time.Now()
-	iv, err := IntervalCtx(ctx, in.pi, q)
-	in.lat.Observe(time.Since(start).Seconds())
-	in.calls.Inc()
-	if err != nil {
-		in.errs.Inc()
-	}
-	return iv, err
-}
-
-// IntervalBatch implements BatchPI: it forwards the batch to the wrapped
-// PI (through the IntervalBatch package function, so non-batch PIs still
-// work) and records the same metrics a sequential loop would — one call
-// count per query and the batch's amortised per-query latency into the
-// histogram, keeping latency quantiles comparable across serving modes.
-func (in *Instrumented) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+// Intervals implements PI: it forwards the batch and the context to the
+// wrapped PI and records what a sequential loop would — one call per query,
+// the batch's amortised per-query latency into the histogram (keeping
+// latency quantiles comparable across batch sizes), and one error per query
+// when the call fails. Cancellations and deadline expiries count as errors.
+// Units of the intervals are unchanged (normalised selectivity in [0, 1]).
+func (in *Instrumented) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
 	if len(qs) == 0 {
-		return nil, nil
+		return in.pi.Intervals(ctx, qs, dst)
 	}
 	start := time.Now()
-	ivs, err := IntervalBatch(in.pi, qs)
+	err := in.pi.Intervals(ctx, qs, dst)
 	perQuery := time.Since(start).Seconds() / float64(len(qs))
 	for range qs {
 		in.lat.Observe(perQuery)
-		in.calls.Inc()
 	}
+	in.calls.Add(uint64(len(qs)))
 	if err != nil {
-		in.errs.Inc()
+		in.errs.Add(uint64(len(qs)))
 	}
-	return ivs, err
+	return err
 }
 
 // Unwrap returns the underlying PI.

@@ -1,6 +1,7 @@
 package cardpi
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -16,11 +17,14 @@ import (
 type flakyPI struct{ fail bool }
 
 func (f *flakyPI) Name() string { return "flaky/unit" }
-func (f *flakyPI) Interval(workload.Query) (Interval, error) {
+func (f *flakyPI) Intervals(_ context.Context, _ []workload.Query, dst []Interval) error {
 	if f.fail {
-		return Interval{}, errors.New("boom")
+		return errors.New("boom")
 	}
-	return Interval{Lo: 0.1, Hi: 0.3}, nil
+	for i := range dst {
+		dst[i] = Interval{Lo: 0.1, Hi: 0.3}
+	}
+	return nil
 }
 
 func TestInstrumentRecordsCallsErrorsLatency(t *testing.T) {
@@ -35,12 +39,12 @@ func TestInstrumentRecordsCallsErrorsLatency(t *testing.T) {
 	}
 	var q workload.Query
 	for i := 0; i < 5; i++ {
-		if _, err := in.Interval(q); err != nil {
+		if _, err := interval(in, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fp.fail = true
-	if _, err := in.Interval(q); err == nil {
+	if _, err := interval(in, q); err == nil {
 		t.Fatal("expected propagated error")
 	}
 
@@ -77,7 +81,7 @@ func TestAdaptiveMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lq := range test.Queries[:200] {
-		if _, err := a.Interval(lq.Query); err != nil {
+		if _, err := interval(a, lq.Query); err != nil {
 			t.Fatal(err)
 		}
 		a.Observe(lq.Query, lq.Sel)
@@ -162,7 +166,7 @@ func TestEvaluatePublishesMetrics(t *testing.T) {
 
 // TestIntervalZeroAllocWithMetrics is the acceptance check for the
 // observability layer: metric recording must add zero heap allocations per
-// Interval call, both for an Instrumented static wrapper and for Adaptive
+// single-query call, both for an Instrumented static wrapper and for Adaptive
 // with live telemetry.
 func TestIntervalZeroAllocWithMetrics(t *testing.T) {
 	model, _, _, cal, test := fixture(t)
@@ -173,13 +177,13 @@ func TestIntervalZeroAllocWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := testing.AllocsPerRun(200, func() {
-		if _, err := bare.Interval(q); err != nil {
+		if _, err := interval(bare, q); err != nil {
 			t.Fatal(err)
 		}
 	})
 	in := Instrument(bare, obs.NewRegistry())
 	instrumented := testing.AllocsPerRun(200, func() {
-		if _, err := in.Interval(q); err != nil {
+		if _, err := interval(in, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -196,7 +200,7 @@ func TestIntervalZeroAllocWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	plainAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := plain.Interval(q); err != nil {
+		if _, err := interval(plain, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -206,7 +210,7 @@ func TestIntervalZeroAllocWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := a.Interval(q); err != nil {
+		if _, err := interval(a, q); err != nil {
 			t.Fatal(err)
 		}
 	}); n != plainAllocs {
@@ -247,7 +251,7 @@ func BenchmarkIntervalBare(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pi.Interval(q); err != nil {
+		if _, err := interval(pi, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +266,7 @@ func BenchmarkInstrumentedInterval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.Interval(q); err != nil {
+		if _, err := interval(in, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,7 +279,7 @@ func BenchmarkAdaptiveIntervalWithMetrics(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Interval(q); err != nil {
+		if _, err := interval(a, q); err != nil {
 			b.Fatal(err)
 		}
 	}

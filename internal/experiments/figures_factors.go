@@ -369,9 +369,8 @@ func Fig12(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func kitFeatures(d *singleTableData) cardpi.FeatureFunc {
-	ft := estimator.NewFeaturizer(d.table)
-	return func(q workload.Query) []float64 { return ft.Featurize(q) }
+func kitFeatures(d *singleTableData) cardpi.AppendFeatureFunc {
+	return estimator.NewFeaturizer(d.table).AppendFeaturize
 }
 
 // Fig13 reproduces Figure 13: classifier accuracy vs PI tightness. MSCN

@@ -90,7 +90,7 @@ type modelKit struct {
 	// foldModels are pre-trained leave-fold-out models (Jackknife+ for
 	// data-driven models trained over tuple folds).
 	foldModels []cardpi.Estimator
-	feats      cardpi.FeatureFunc
+	feats      cardpi.AppendFeatureFunc
 }
 
 func mscnEpochs(s Scale) int { return s.Epochs }
@@ -124,8 +124,7 @@ func kitMSCN(d *singleTableData, s Scale, withQuantiles bool) (*modelKit, error)
 		c.Seed = seed
 		return mscn.Train(f, wl, c)
 	}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = estimator.NewFeaturizer(d.table).AppendFeaturize
 	return kit, nil
 }
 
@@ -155,7 +154,7 @@ func kitMSCNJoins(sch *dataset.Schema, train *workload.Workload, s Scale, withQu
 		return mscn.Train(f, wl, c)
 	}
 	jf := estimator.NewJoinFeaturizer(sch)
-	kit.feats = func(q workload.Query) []float64 { return jf.Featurize(q) }
+	kit.feats = func(q workload.Query, dst []float64) []float64 { return append(dst, jf.Featurize(q)...) }
 	return kit, nil
 }
 
@@ -183,8 +182,7 @@ func kitLWNN(d *singleTableData, s Scale, withQuantiles bool) (*modelKit, error)
 		c.Seed = seed
 		return lwnn.Train(d.table, wl, c)
 	}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = estimator.NewFeaturizer(d.table).AppendFeaturize
 	return kit, nil
 }
 
@@ -199,8 +197,7 @@ func kitNaru(d *singleTableData, s Scale, withFolds bool) (*modelKit, error) {
 		return nil, err
 	}
 	kit := &modelKit{name: "naru", model: m}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = estimator.NewFeaturizer(d.table).AppendFeaturize
 	if !withFolds {
 		return kit, nil
 	}

@@ -200,13 +200,14 @@ func sleep(ctx context.Context, d time.Duration) error {
 type PI interface {
 	// Name identifies the wrapped method.
 	Name() string
-	// Interval returns the query's prediction interval.
-	Interval(q workload.Query) (conformal.Interval, error)
+	// Intervals writes the prediction interval of qs[i] into dst[i].
+	Intervals(ctx context.Context, qs []workload.Query, dst []conformal.Interval) error
 }
 
-// FaultyPI decorates a PI with a fault plan. It implements both the plain
-// and the context-aware interval surface; latency faults honour the
-// context's deadline. Safe for concurrent use whenever the wrapped PI is.
+// FaultyPI decorates a PI with a fault plan. Every row of a call draws its
+// own fault, in row order; latency faults sleep at most once per call and
+// honour the context's deadline, and the wrapped call sees the same ctx.
+// Safe for concurrent use whenever the wrapped PI is.
 type FaultyPI struct {
 	inner PI
 	plan  *Plan
@@ -218,42 +219,54 @@ func WrapPI(pi PI, plan *Plan) *FaultyPI { return &FaultyPI{inner: pi, plan: pla
 // Name implements the PI surface, marking the chain as fault-injected.
 func (f *FaultyPI) Name() string { return "faulty/" + f.inner.Name() }
 
-// Interval implements the PI surface without a deadline.
-func (f *FaultyPI) Interval(q workload.Query) (conformal.Interval, error) {
-	return f.IntervalCtx(context.Background(), q)
-}
-
-// IntervalCtx implements the context-aware surface (cardpi.ContextPI):
-// injected latency observes ctx, and the wrapped call sees the same ctx.
-func (f *FaultyPI) IntervalCtx(ctx context.Context, q workload.Query) (conformal.Interval, error) {
-	switch f.plan.next() {
-	case Error:
-		return conformal.Interval{}, ErrInjected
-	case Panic:
-		panic("faultinject: injected panic")
-	case Latency:
-		if err := sleep(ctx, f.plan.spec.Delay); err != nil {
-			return conformal.Interval{}, err
+// Intervals implements the PI surface. Rows are scanned in order: the first
+// Error row fails the call with ErrInjected and the first Panic row panics
+// (an earlier latency sleep that outlives ctx fails it with ctx.Err()
+// first). Otherwise the wrapped PI answers the whole batch, and NaN rows
+// and Stale rows are then replaced by NaN endpoints and the bias-shifted
+// interval respectively.
+func (f *FaultyPI) Intervals(ctx context.Context, qs []workload.Query, dst []conformal.Interval) error {
+	kinds := make([]Kind, len(qs))
+	for i := range kinds {
+		kinds[i] = f.plan.next()
+	}
+	slept := false
+	for _, k := range kinds {
+		switch k {
+		case Error:
+			return ErrInjected
+		case Panic:
+			panic("faultinject: injected panic")
+		case Latency:
+			if !slept {
+				slept = true
+				if err := sleep(ctx, f.plan.spec.Delay); err != nil {
+					return err
+				}
+			}
 		}
-	case NaN:
-		return conformal.Interval{Lo: math.NaN(), Hi: math.NaN()}, nil
-	case Stale:
-		iv, err := f.inner.Interval(q)
-		if err != nil {
-			return iv, err
-		}
-		return conformal.Interval{Lo: iv.Lo + f.plan.spec.Bias, Hi: iv.Hi + f.plan.spec.Bias}, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return conformal.Interval{}, err
+		return err
 	}
-	return f.inner.Interval(q)
+	if err := f.inner.Intervals(ctx, qs, dst); err != nil {
+		return err
+	}
+	for i, k := range kinds {
+		switch k {
+		case NaN:
+			dst[i] = conformal.Interval{Lo: math.NaN(), Hi: math.NaN()}
+		case Stale:
+			dst[i] = conformal.Interval{Lo: dst[i].Lo + f.plan.spec.Bias, Hi: dst[i].Hi + f.plan.spec.Bias}
+		}
+	}
+	return nil
 }
 
 // FaultyEstimator decorates an estimator with a fault plan. Error faults
 // surface as NaN (the Estimator interface has no error return); latency
-// faults sleep the full delay on the plain surface and honour the deadline
-// on EstimateCtx. Safe for concurrent use whenever the wrapped estimator is.
+// faults sleep the full delay. Safe for concurrent use whenever the wrapped
+// estimator is.
 type FaultyEstimator struct {
 	inner estimator.Estimator
 	plan  *Plan
@@ -267,34 +280,18 @@ func WrapEstimator(m estimator.Estimator, plan *Plan) *FaultyEstimator {
 // Name implements estimator.Estimator, marking the model as fault-injected.
 func (f *FaultyEstimator) Name() string { return "faulty/" + f.inner.Name() }
 
-// EstimateSelectivity implements estimator.Estimator.
+// EstimateSelectivity implements estimator.Estimator, applying the
+// scheduled fault around the wrapped estimate.
 func (f *FaultyEstimator) EstimateSelectivity(q workload.Query) float64 {
-	sel, _ := f.estimate(context.Background(), q)
-	return sel
-}
-
-// EstimateCtx implements the context-aware estimator surface
-// (cardpi.ContextEstimator): injected latency observes the deadline.
-func (f *FaultyEstimator) EstimateCtx(ctx context.Context, q workload.Query) (float64, error) {
-	return f.estimate(ctx, q)
-}
-
-// estimate applies the scheduled fault around the wrapped estimate.
-func (f *FaultyEstimator) estimate(ctx context.Context, q workload.Query) (float64, error) {
 	switch f.plan.next() {
 	case Error, NaN:
-		return math.NaN(), nil
+		return math.NaN()
 	case Panic:
 		panic("faultinject: injected panic")
 	case Latency:
-		if err := sleep(ctx, f.plan.spec.Delay); err != nil {
-			return 0, err
-		}
+		time.Sleep(f.plan.spec.Delay)
 	case Stale:
-		return estimator.Clamp01(f.inner.EstimateSelectivity(q) + f.plan.spec.Bias), nil
+		return estimator.Clamp01(f.inner.EstimateSelectivity(q) + f.plan.spec.Bias)
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return f.inner.EstimateSelectivity(q), nil
+	return f.inner.EstimateSelectivity(q)
 }

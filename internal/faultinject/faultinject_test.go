@@ -16,8 +16,20 @@ import (
 // constPI returns a fixed interval and never fails on its own.
 type constPI struct{ iv conformal.Interval }
 
-func (c constPI) Name() string                                        { return "const/unit" }
-func (c constPI) Interval(workload.Query) (conformal.Interval, error) { return c.iv, nil }
+func (c constPI) Name() string { return "const/unit" }
+func (c constPI) Intervals(_ context.Context, _ []workload.Query, dst []conformal.Interval) error {
+	for i := range dst {
+		dst[i] = c.iv
+	}
+	return nil
+}
+
+// one answers a single query through f as a batch of one.
+func one(ctx context.Context, f *FaultyPI) (conformal.Interval, error) {
+	var iv [1]conformal.Interval
+	err := f.Intervals(ctx, []workload.Query{{}}, iv[:])
+	return iv[0], err
+}
 
 func TestPlanDeterminism(t *testing.T) {
 	spec := Spec{Seed: 42, Error: 0.05, Panic: 0.05, Latency: 0.05, NaN: 0.05}
@@ -119,7 +131,7 @@ func TestFaultyPIInjectsEveryClass(t *testing.T) {
 	}
 	for _, tc := range cases {
 		f := WrapPI(base, MustPlan(tc.spec))
-		iv, err := f.Interval(workload.Query{})
+		iv, err := one(context.Background(), f)
 		tc.check(t, iv, err)
 	}
 
@@ -130,7 +142,7 @@ func TestFaultyPIInjectsEveryClass(t *testing.T) {
 				t.Fatal("panic fault did not panic")
 			}
 		}()
-		_, _ = panicky.Interval(workload.Query{})
+		_, _ = one(context.Background(), panicky)
 	}()
 }
 
@@ -139,7 +151,7 @@ func TestFaultyPILatencyHonoursDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.IntervalCtx(ctx, workload.Query{})
+	_, err := one(ctx, f)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -163,10 +175,47 @@ func TestFaultyEstimatorFaults(t *testing.T) {
 	if got := clean.EstimateSelectivity(workload.Query{}); got != 0.5 {
 		t.Fatalf("fault-free plan altered the estimate: %v", got)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	lat := WrapEstimator(base, MustPlan(Spec{Latency: 1, Delay: time.Minute}))
-	if _, err := lat.EstimateCtx(ctx, workload.Query{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("estimator latency fault ignored the deadline: %v", err)
+}
+
+// TestFaultyPIBatchDrawsPerRow: a batch draws one fault per row in row
+// order — NaN and Stale rows are rewritten individually while their
+// batch-mates pass through — and latency rows sleep once per call, not
+// once per row.
+func TestFaultyPIBatchDrawsPerRow(t *testing.T) {
+	base := constPI{iv: conformal.Interval{Lo: 0.2, Hi: 0.4}}
+	plan := MustPlan(Spec{Seed: 5, NaN: 0.3, Stale: 0.3, Bias: 0.1})
+	f := WrapPI(base, plan)
+	qs := make([]workload.Query, 64)
+	dst := make([]conformal.Interval, len(qs))
+	if err := f.Intervals(context.Background(), qs, dst); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Calls() != uint64(len(qs)) {
+		t.Fatalf("plan drew %d faults for %d rows", plan.Calls(), len(qs))
+	}
+	for i, iv := range dst {
+		switch plan.KindAt(uint64(i)) {
+		case NaN:
+			if !math.IsNaN(iv.Lo) || !math.IsNaN(iv.Hi) {
+				t.Fatalf("row %d: NaN fault gave %+v", i, iv)
+			}
+		case Stale:
+			if math.Abs(iv.Lo-0.3) > 1e-12 || math.Abs(iv.Hi-0.5) > 1e-12 {
+				t.Fatalf("row %d: stale fault gave %+v", i, iv)
+			}
+		default:
+			if iv != base.iv {
+				t.Fatalf("row %d: clean row altered to %+v", i, iv)
+			}
+		}
+	}
+
+	slow := WrapPI(base, MustPlan(Spec{Latency: 1, Delay: 40 * time.Millisecond}))
+	start := time.Now()
+	if err := slow.Intervals(context.Background(), qs[:8], dst[:8]); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed >= 8*40*time.Millisecond/2 {
+		t.Fatalf("8 latency rows took %s, want one %s sleep per call", elapsed, 40*time.Millisecond)
 	}
 }

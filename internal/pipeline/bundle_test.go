@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
+	"cardpi"
 	"cardpi/internal/codec"
 	"cardpi/internal/workload"
 )
@@ -83,8 +85,8 @@ func TestBundleRoundTripAllCombos(t *testing.T) {
 						method.Name, len(loaded.Cal.Queries), len(base.Cal.Queries))
 				}
 				for qi, lq := range probe.Queries {
-					want, wantErr := pi.Interval(lq.Query)
-					got, gotErr := loaded.PI.Interval(lq.Query)
+					want, wantErr := cardpi.IntervalCtx(context.Background(), pi, lq.Query)
+					got, gotErr := cardpi.IntervalCtx(context.Background(), loaded.PI, lq.Query)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s: query %d error mismatch: %v vs %v", method.Name, qi, wantErr, gotErr)
 					}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -48,25 +49,15 @@ func legacyBuildSequence(cfg Config) (*Setup, error) {
 // legacyBuildPI is the pre-graph BuildPI, verbatim (fresh featurizers per
 // call, package-constant hyperparameters).
 func legacyBuildPI(cfg Config, m cardpi.Estimator, tab *dataset.Table, train, cal *workload.Workload) (cardpi.PI, error) {
-	ff := Featurizer(tab)
+	ff := AppendFeaturizer(tab)
 	switch strings.ToLower(cfg.Method) {
 	case "s-cp":
 		return cardpi.WrapSplitCP(m, cal, conformal.ResidualScore{}, cfg.Alpha)
 	case "lw-s-cp":
-		lw, err := cardpi.WrapLocallyWeighted(m, train, cal, ff, conformal.ResidualScore{}, cfg.Alpha,
+		return cardpi.WrapLocallyWeighted(m, train, cal, ff, conformal.ResidualScore{}, cfg.Alpha,
 			gbm.Config{NumTrees: 60, MaxDepth: 4, Seed: cfg.Seed + gbmSeedOff})
-		if err != nil {
-			return nil, err
-		}
-		lw.SetAppendFeatures(AppendFeaturizer(tab))
-		return lw, nil
 	case "lcp":
-		lcp, err := cardpi.WrapLocalized(m, cal, ff, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/localizedKDiv)
-		if err != nil {
-			return nil, err
-		}
-		lcp.SetAppendFeatures(AppendFeaturizer(tab))
-		return lcp, nil
+		return cardpi.WrapLocalized(m, cal, ff, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/localizedKDiv)
 	case "mondrian":
 		return cardpi.WrapMondrian(m, cal, PredCountGroup, conformal.ResidualScore{}, cfg.Alpha, mondrianMinGroup)
 	case "cqr":
@@ -132,8 +123,8 @@ func TestGraphBuildMatchesLegacyAllCombos(t *testing.T) {
 					t.Fatalf("%s: graph-composed bundle bytes differ from the pre-refactor sequence", method.Name)
 				}
 				for qi, lq := range probe.Queries {
-					want, wantErr := legacy.PI.Interval(lq.Query)
-					gotIv, gotErr := got.PI.Interval(lq.Query)
+					want, wantErr := cardpi.IntervalCtx(context.Background(), legacy.PI, lq.Query)
+					gotIv, gotErr := cardpi.IntervalCtx(context.Background(), got.PI, lq.Query)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s: query %d error mismatch: %v vs %v", method.Name, qi, wantErr, gotErr)
 					}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cardpi"
 	"cardpi/internal/codec"
 	"cardpi/internal/workload"
 )
@@ -72,8 +74,8 @@ func TestMappedBundleBitIdentity(t *testing.T) {
 	// The mapping is gone; every interval must still come out bit-identical
 	// to the copy-load path.
 	for qi, lq := range probe.Queries {
-		want, wantErr := ref.PI.Interval(lq.Query)
-		have, haveErr := got.PI.Interval(lq.Query)
+		want, wantErr := cardpi.IntervalCtx(context.Background(), ref.PI, lq.Query)
+		have, haveErr := cardpi.IntervalCtx(context.Background(), got.PI, lq.Query)
 		if (wantErr == nil) != (haveErr == nil) {
 			t.Fatalf("query %d error mismatch: %v vs %v", qi, wantErr, haveErr)
 		}
@@ -154,8 +156,8 @@ func TestMappedBundleNoLayoutFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, lq := range probe.Queries {
-		want, _ := setup.PI.Interval(lq.Query)
-		have, _ := got.PI.Interval(lq.Query)
+		want, _ := cardpi.IntervalCtx(context.Background(), setup.PI, lq.Query)
+		have, _ := cardpi.IntervalCtx(context.Background(), got.PI, lq.Query)
 		if want != have {
 			t.Fatalf("query %d interval mismatch on scan-fallback load", qi)
 		}

@@ -19,6 +19,7 @@
 package recal
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -164,11 +165,17 @@ type CandidatePI struct {
 // Name identifies the candidate as "recal-cp/<base>".
 func (p *CandidatePI) Name() string { return "recal-cp/" + p.model.base.Name() }
 
-// Interval returns the calibrated interval for q's corrected estimate,
-// clipped to the selectivity domain [0, 1]. It never errors; the error
-// return exists to satisfy the PI contract.
-func (p *CandidatePI) Interval(q workload.Query) (conformal.Interval, error) {
-	return p.cp.Interval(p.model.EstimateSelectivity(q)).Clip(0, 1), nil
+// Intervals writes the calibrated interval for each query's corrected
+// estimate into dst, clipped to the selectivity domain [0, 1]. It fails
+// only with ctx.Err() when ctx is already done.
+func (p *CandidatePI) Intervals(ctx context.Context, qs []workload.Query, dst []conformal.Interval) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, q := range qs {
+		dst[i] = p.cp.Interval(p.model.EstimateSelectivity(q)).Clip(0, 1)
+	}
+	return nil
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

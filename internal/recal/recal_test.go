@@ -2,6 +2,7 @@ package recal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"cardpi"
+	"cardpi/internal/conformal"
 	"cardpi/internal/dataset"
 	"cardpi/internal/estimator"
 	"cardpi/internal/obs"
@@ -325,13 +328,28 @@ func TestBuildCandidateAcceptsCorrectableBias(t *testing.T) {
 	if got := len(cand.Window.Queries); got != 64 {
 		t.Errorf("window snapshot has %d queries, want 64", got)
 	}
-	// The corrected chain's intervals must be valid selectivities.
-	iv, err := cand.PI.Interval(indexQuery(7))
+	// The corrected chain's intervals must be valid selectivities, and the
+	// candidate serves as a cardpi.PI: the single-query entry point matches
+	// its batch row bit for bit, and a done context is an error.
+	iv, err := cardpi.IntervalCtx(context.Background(), cand.PI, indexQuery(7))
 	if err != nil {
-		t.Fatalf("candidate Interval: %v", err)
+		t.Fatalf("candidate IntervalCtx: %v", err)
 	}
 	if !(iv.Lo >= 0 && iv.Hi <= 1 && iv.Lo <= iv.Hi) {
 		t.Errorf("candidate interval [%v, %v] outside [0, 1]", iv.Lo, iv.Hi)
+	}
+	qs := []workload.Query{indexQuery(3), indexQuery(7)}
+	rows := make([]conformal.Interval, len(qs))
+	if err := cand.PI.Intervals(context.Background(), qs, rows); err != nil {
+		t.Fatalf("candidate Intervals: %v", err)
+	}
+	if math.Float64bits(rows[1].Lo) != math.Float64bits(iv.Lo) || math.Float64bits(rows[1].Hi) != math.Float64bits(iv.Hi) {
+		t.Errorf("batch row %+v differs from single %+v", rows[1], iv)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := cand.PI.Intervals(done, qs, rows); !errors.Is(err, context.Canceled) {
+		t.Errorf("done context: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -28,6 +28,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cardpi"
 	"cardpi/internal/obs"
 	"cardpi/internal/pipeline"
 )
@@ -370,8 +372,8 @@ func smokeCompare(old, cand *pipeline.Setup, n int) error {
 	}
 	for i := 0; i < n; i++ {
 		q := queries[i].Query
-		a, aErr := old.PI.Interval(q)
-		b, bErr := cand.PI.Interval(q)
+		a, aErr := cardpi.IntervalCtx(context.TODO(), old.PI, q)
+		b, bErr := cardpi.IntervalCtx(context.TODO(), cand.PI, q)
 		if (aErr == nil) != (bErr == nil) {
 			return fmt.Errorf("query %d: error mismatch (active: %v, candidate: %v)", i, aErr, bErr)
 		}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"cardpi"
 	"cardpi/internal/codec"
 	"cardpi/internal/pipeline"
 )
@@ -88,7 +90,7 @@ func intervalVector(t *testing.T, s *pipeline.Setup, n int) []uint64 {
 	}
 	out := make([]uint64, 0, 2*n)
 	for _, lq := range s.Cal.Queries[:n] {
-		iv, err := s.PI.Interval(lq.Query)
+		iv, err := cardpi.IntervalCtx(context.Background(), s.PI, lq.Query)
 		if err != nil {
 			t.Fatalf("interval: %v", err)
 		}
@@ -477,7 +479,7 @@ func TestConcurrentPromoteRollbackNoTornReads(t *testing.T) {
 				}
 				got := make([]uint64, 0, 64)
 				for _, lq := range l.Setup.Cal.Queries[:32] {
-					iv, err := l.Setup.PI.Interval(lq.Query)
+					iv, err := cardpi.IntervalCtx(context.Background(), l.Setup.PI, lq.Query)
 					if err != nil {
 						errCh <- fmt.Errorf("interval: %w", err)
 						return

@@ -20,6 +20,7 @@ package synth
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -541,15 +542,15 @@ func runTrial(g *pipeline.Graph, tab *dataset.Table, evalWl *workload.Workload,
 
 	intervals := make([]conformal.Interval, len(evalWl.Queries))
 	truths := make([]float64, len(evalWl.Queries))
+	qs := make([]workload.Query, len(evalWl.Queries))
 	for i, lq := range evalWl.Queries {
-		iv, err := setup.PI.Interval(lq.Query)
-		if err != nil {
-			t.Status, t.Reason = StatusFailed, "score: "+err.Error()
-			res.trial = t
-			return res
-		}
-		intervals[i] = iv
+		qs[i] = lq.Query
 		truths[i] = lq.Sel
+	}
+	if err := setup.PI.Intervals(context.TODO(), qs, intervals); err != nil {
+		t.Status, t.Reason = StatusFailed, "score: "+err.Error()
+		res.trial = t
+		return res
 	}
 	cov, err := conformal.Coverage(intervals, truths)
 	if err != nil {

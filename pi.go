@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"cardpi/internal/conformal"
 	"cardpi/internal/estimator"
@@ -47,70 +48,50 @@ type Interval = conformal.Interval
 // concurrent EstimateSelectivity calls — every model in this repository is.
 type Estimator = estimator.Estimator
 
-// PI produces a prediction interval for each query, in normalised
+// PI produces prediction intervals for batches of queries, in normalised
 // selectivity units. Every wrapper constructed by this package is safe for
-// concurrent Interval calls: the static wrappers (SplitCP, LocallyWeighted,
+// concurrent Intervals calls: the static wrappers (SplitCP, LocallyWeighted,
 // CQR, Localized, Weighted, Mondrian, JackknifeCV) are immutable after
-// calibration, and Adaptive guards its mutable state with a mutex.
+// calibration, and the decorators guard their mutable state. The wrappers
+// run the model's batched inference path (one matrix-style forward pass per
+// network layer instead of one per query) and shard the conformal step in
+// contiguous row blocks over the batch worker pool (par.SetBatchWorkers);
+// results are bit-identical for any batch size and worker count.
 type PI interface {
 	// Name identifies the method and model, e.g. "s-cp/spn".
 	Name() string
-	// Interval returns the query's prediction interval in normalised
-	// selectivity units ([0, 1] after clipping).
-	Interval(q workload.Query) (Interval, error)
+	// Intervals writes the prediction interval of qs[i] into dst[i]
+	// ([0, 1] after clipping); len(dst) must equal len(qs). A failed call
+	// returns the error of the lowest-indexed failing query and leaves dst
+	// unspecified. A call whose ctx is already done returns ctx.Err(), and
+	// context-aware stages (latency faults, decorators) observe the deadline
+	// while they run.
+	Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error
 }
 
-// ContextPI is the context-aware extension of PI, implemented by wrappers
-// that honour cancellation and deadlines (Resilient, Instrumented, and any
-// faultinject decorator). IntervalCtx must return promptly once ctx is done;
-// interval units are unchanged (normalised selectivity in [0, 1]). Plain PIs
-// remain fully supported — call sites use the IntervalCtx package function,
-// which shims ctx for implementations that predate this interface.
-type ContextPI interface {
-	PI
-	// IntervalCtx is Interval under a context: it returns ctx.Err() (and a
-	// zero interval) when the context is cancelled or past its deadline.
-	IntervalCtx(ctx context.Context, q workload.Query) (Interval, error)
+// single is the one-query scratch IntervalCtx hands to PI.Intervals; pooling
+// it keeps the single-query entry point free of heap allocations.
+type single struct {
+	q  [1]workload.Query
+	iv [1]Interval
 }
 
-// IntervalCtx invokes pi with the context when the implementation supports
-// it, and otherwise falls back to a pre-call cancellation check followed by
-// the plain Interval — the compatibility shim that lets deadline-aware
-// callers (the serve path, EvaluateCtx) consume every existing PI unchanged.
-// The shim adds no heap allocations. Safe for concurrent use whenever pi is.
+var singlePool = sync.Pool{New: func() any { return new(single) }}
+
+// IntervalCtx answers one query with pi as a batch of one: the interval is
+// bit-identical to row i of an Intervals call containing q at index i. It
+// adds no heap allocations of its own and is safe for concurrent use
+// whenever pi is.
 func IntervalCtx(ctx context.Context, pi PI, q workload.Query) (Interval, error) {
-	if cp, ok := pi.(ContextPI); ok {
-		return cp.IntervalCtx(ctx, q)
-	}
-	if err := ctx.Err(); err != nil {
+	s := singlePool.Get().(*single)
+	s.q[0] = q
+	err := pi.Intervals(ctx, s.q[:], s.iv[:])
+	iv := s.iv[0]
+	singlePool.Put(s)
+	if err != nil {
 		return Interval{}, err
 	}
-	return pi.Interval(q)
-}
-
-// ContextEstimator is the context-aware extension of Estimator for models
-// whose inference can honour cancellation (remote backends, injected-latency
-// test doubles). EstimateCtx returns a normalised selectivity in [0, 1] or
-// ctx.Err() once the context is done.
-type ContextEstimator interface {
-	Estimator
-	// EstimateCtx is EstimateSelectivity under a context.
-	EstimateCtx(ctx context.Context, q workload.Query) (float64, error)
-}
-
-// EstimateCtx invokes the model with the context when supported, shimming a
-// pre-call cancellation check around plain estimators otherwise. The
-// returned selectivity is in [0, 1] (whatever the model produced — callers
-// needing guarantees sanitize downstream). Safe for concurrent use whenever
-// m is; adds no heap allocations.
-func EstimateCtx(ctx context.Context, m Estimator, q workload.Query) (float64, error) {
-	if cm, ok := m.(ContextEstimator); ok {
-		return cm.EstimateCtx(ctx, q)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return m.EstimateSelectivity(q), nil
+	return iv, nil
 }
 
 // clip bounds an interval to the feasible selectivity range.
@@ -144,24 +125,17 @@ func WrapSplitCP(model Estimator, cal *workload.Workload, score conformal.Score,
 // Name implements PI.
 func (s *SplitCP) Name() string { return "s-cp/" + s.model.Name() }
 
-// Interval implements PI.
-func (s *SplitCP) Interval(q workload.Query) (Interval, error) {
-	return clip(s.cp.Interval(s.model.EstimateSelectivity(q))), nil
-}
-
 // Delta exposes the calibrated threshold (useful for optimizer injection).
 func (s *SplitCP) Delta() float64 { return s.cp.Delta }
 
-// FeatureFunc maps a query to the feature vector the difficulty model g(X)
-// of locally weighted conformal prediction consumes.
-type FeatureFunc func(q workload.Query) []float64
-
-// AppendFeatureFunc is the allocation-free form of FeatureFunc: it appends
-// the query's feature values to dst and returns the extended slice, exactly
-// as append does. The appended values must be bit-identical to the
-// wrapper's FeatureFunc for the same query, and implementations must be
-// safe for concurrent calls — the batch path invokes them from multiple
-// row-block workers, each with its own destination block.
+// AppendFeatureFunc maps a query to the feature vector the feature-based
+// wrappers (locally weighted, localized, weighted) consume: it appends the
+// query's feature values to dst and returns the extended slice, exactly as
+// append does, so the batch path fills one pooled flat block with no
+// per-query allocation (calibration passes a nil dst). Every call for a
+// query must append the same values, and implementations must be safe for
+// concurrent calls — the batch path invokes them from multiple row-block
+// workers, each with its own destination block.
 type AppendFeatureFunc func(q workload.Query, dst []float64) []float64
 
 // LocallyWeighted wraps a model with locally weighted split conformal
@@ -171,7 +145,7 @@ type LocallyWeighted struct {
 	model Estimator
 	lw    *conformal.LocallyWeighted
 	g     *gbm.Regressor
-	feats FeatureFunc
+	feats AppendFeatureFunc
 	// beta offsets the difficulty estimate: U(X) = max(g(X), 0) + beta.
 	// Without it, g(X) ~ 0 on easy-looking queries makes the scaled scores
 	// of calibration points with nonzero residuals explode, which inflates
@@ -179,22 +153,11 @@ type LocallyWeighted struct {
 	// mean training residual, the usual stabilisation for normalised
 	// non-conformity scores.
 	beta float64
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to pack feature rows into one pooled flat block instead of
-// allocating a vector per query. af must append values bit-identical to the
-// wrapper's FeatureFunc and be safe for concurrent calls; nil restores the
-// per-query fallback. Call before serving batches — the setter itself is
-// not synchronised with concurrent IntervalBatch calls.
-func (l *LocallyWeighted) SetAppendFeatures(af AppendFeatureFunc) { l.appendFeats = af }
 
 // WrapLocallyWeighted fits the difficulty model on resWL (typically the
 // model's own training workload, per Algorithm 3) and calibrates on cal.
-func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats FeatureFunc,
+func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats AppendFeatureFunc,
 	score conformal.Score, alpha float64, gcfg gbm.Config) (*LocallyWeighted, error) {
 	if resWL == nil || len(resWL.Queries) == 0 {
 		return nil, fmt.Errorf("cardpi: empty residual-fitting workload")
@@ -207,7 +170,7 @@ func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats F
 	y := make([]float64, len(resWL.Queries))
 	var meanRes float64
 	for i, lq := range resWL.Queries {
-		X[i] = feats(lq.Query)
+		X[i] = feats(lq.Query, nil)
 		y[i] = score.Of(model.EstimateSelectivity(lq.Query), lq.Sel)
 		meanRes += y[i]
 	}
@@ -226,7 +189,7 @@ func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats F
 	for i, lq := range cal.Queries {
 		preds[i] = model.EstimateSelectivity(lq.Query)
 		truths[i] = lq.Sel
-		u[i] = difficulty(g, feats(lq.Query), beta)
+		u[i] = difficulty(g, feats(lq.Query, nil), beta)
 	}
 	lw, err := conformal.CalibrateLocallyWeighted(preds, truths, u, score, alpha)
 	if err != nil {
@@ -247,12 +210,6 @@ func difficulty(g *gbm.Regressor, x []float64, beta float64) float64 {
 
 // Name implements PI.
 func (l *LocallyWeighted) Name() string { return "lw-s-cp/" + l.model.Name() }
-
-// Interval implements PI.
-func (l *LocallyWeighted) Interval(q workload.Query) (Interval, error) {
-	u := difficulty(l.g, l.feats(q), l.beta)
-	return clip(l.lw.Interval(l.model.EstimateSelectivity(q), u)), nil
-}
 
 // CQR wraps two quantile regressors with conformalized quantile regression.
 type CQR struct {
@@ -285,11 +242,6 @@ func WrapCQR(lo, hi Estimator, cal *workload.Workload, alpha float64) (*CQR, err
 // Name implements PI.
 func (c *CQR) Name() string { return "cqr/" + c.lo.Name() }
 
-// Interval implements PI.
-func (c *CQR) Interval(q workload.Query) (Interval, error) {
-	return clip(c.cqr.Interval(c.lo.EstimateSelectivity(q), c.hi.EstimateSelectivity(q))), nil
-}
-
 // Localized wraps a model with localized conformal prediction (the
 // extension the paper's Section V-D highlights): each query's threshold is
 // calibrated from the nearest calibration queries in feature space, giving
@@ -297,23 +249,12 @@ func (c *CQR) Interval(q workload.Query) (Interval, error) {
 type Localized struct {
 	model Estimator
 	lcp   *conformal.Localized
-	feats FeatureFunc
-	// appendFeats, when set, is the allocation-free featurizer Interval
-	// and IntervalBatch use instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
+	feats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer Interval and
-// IntervalBatch use to fill pooled buffers (one flat block per batch)
-// instead of allocating a vector per query. af must append values
-// bit-identical to the wrapper's FeatureFunc and be safe for concurrent
-// calls; nil restores the per-query fallback. Call before serving — the
-// setter itself is not synchronised with concurrent Interval calls.
-func (l *Localized) SetAppendFeatures(af AppendFeatureFunc) { l.appendFeats = af }
 
 // WrapLocalized calibrates localized conformal prediction with a
 // k-nearest-neighbour locality over the feature space.
-func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
+func WrapLocalized(model Estimator, cal *workload.Workload, feats AppendFeatureFunc,
 	score conformal.Score, alpha float64, k int) (*Localized, error) {
 	if cal == nil || len(cal.Queries) == 0 {
 		return nil, fmt.Errorf("cardpi: empty calibration workload")
@@ -322,7 +263,7 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 	preds := make([]float64, len(cal.Queries))
 	truths := make([]float64, len(cal.Queries))
 	for i, lq := range cal.Queries {
-		fv[i] = feats(lq.Query)
+		fv[i] = feats(lq.Query, nil)
 		preds[i] = model.EstimateSelectivity(lq.Query)
 		truths[i] = lq.Sel
 	}
@@ -336,27 +277,6 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 // Name implements PI.
 func (l *Localized) Name() string { return "lcp/" + l.model.Name() }
 
-// Interval implements PI. With an AppendFeatureFunc installed the query is
-// featurised into a pooled buffer, and the threshold comes from the same
-// neighbour index IntervalBatch uses.
-func (l *Localized) Interval(q workload.Query) (Interval, error) {
-	pred := l.model.EstimateSelectivity(q)
-	var iv conformal.Interval
-	var err error
-	if l.appendFeats != nil {
-		fs := featPool.Get().(*featScratch)
-		fs.flat = l.appendFeats(q, fs.flat[:0])
-		iv, err = l.lcp.Interval(fs.flat, pred)
-		featPool.Put(fs)
-	} else {
-		iv, err = l.lcp.Interval(l.feats(q), pred)
-	}
-	if err != nil {
-		return Interval{}, err
-	}
-	return clip(iv), nil
-}
-
 // Weighted wraps a model with weighted split conformal prediction for
 // covariate shift (Tibshirani et al. 2019): when the live workload's query
 // distribution differs from calibration, plain conformal loses coverage
@@ -369,25 +289,14 @@ type Weighted struct {
 	model  Estimator
 	wcp    *conformal.WeightedSplitCP
 	ratio  *gbm.Regressor
-	feats  FeatureFunc
+	feats  AppendFeatureFunc
 	nCal   float64
 	nShift float64
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to featurise each row-block into a per-worker reused buffer instead
-// of allocating a vector per query. af must append values bit-identical to
-// the wrapper's FeatureFunc and be safe for concurrent calls; nil restores
-// the per-query fallback. Call before serving batches — the setter itself
-// is not synchronised with concurrent IntervalBatch calls.
-func (w *Weighted) SetAppendFeatures(af AppendFeatureFunc) { w.appendFeats = af }
 
 // WrapWeighted fits the domain classifier on cal (label 0) vs shiftSample
 // (label 1, truths unused) and calibrates the weighted conformal predictor.
-func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats FeatureFunc,
+func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats AppendFeatureFunc,
 	score conformal.Score, alpha float64, gcfg gbm.Config) (*Weighted, error) {
 	if cal == nil || len(cal.Queries) == 0 {
 		return nil, fmt.Errorf("cardpi: empty calibration workload")
@@ -398,11 +307,11 @@ func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats Fe
 	var X [][]float64
 	var y []float64
 	for _, lq := range cal.Queries {
-		X = append(X, feats(lq.Query))
+		X = append(X, feats(lq.Query, nil))
 		y = append(y, 0)
 	}
 	for _, lq := range shiftSample.Queries {
-		X = append(X, feats(lq.Query))
+		X = append(X, feats(lq.Query, nil))
 		y = append(y, 1)
 	}
 	ratio, err := gbm.Fit(X, y, gcfg)
@@ -432,12 +341,6 @@ func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats Fe
 	return w, nil
 }
 
-// likelihoodRatio featurises the query once and delegates to
-// likelihoodRatioFrom.
-func (w *Weighted) likelihoodRatio(q workload.Query) float64 {
-	return w.likelihoodRatioFrom(w.feats(q))
-}
-
 // likelihoodRatioFrom converts the domain classifier's output p(x) =
 // P(shifted) into the density ratio dP_shift/dP_cal, correcting for the
 // class sizes and clamping to keep one misclassified point from dominating
@@ -458,16 +361,6 @@ func (w *Weighted) likelihoodRatioFrom(x []float64) float64 {
 
 // Name implements PI.
 func (w *Weighted) Name() string { return "weighted-cp/" + w.model.Name() }
-
-// Interval implements PI. Infinite thresholds (calibration uninformative for
-// this query under the shift) clip to the trivial [0, 1] interval.
-func (w *Weighted) Interval(q workload.Query) (Interval, error) {
-	iv, err := w.wcp.Interval(w.model.EstimateSelectivity(q), w.likelihoodRatio(q))
-	if err != nil {
-		return Interval{}, err
-	}
-	return clip(iv), nil
-}
 
 // GroupFunc assigns a query to a calibration group — for example its join
 // template, predicate count, or target table.
@@ -518,11 +411,6 @@ func WrapMondrian(model Estimator, cal *workload.Workload, group GroupFunc,
 
 // Name implements PI.
 func (m *Mondrian) Name() string { return "mondrian/" + m.model.Name() }
-
-// Interval implements PI.
-func (m *Mondrian) Interval(q workload.Query) (Interval, error) {
-	return clip(m.m.Interval(m.group(q), m.model.EstimateSelectivity(q))), nil
-}
 
 // TrainFunc trains a model on a training workload; used by Jackknife+ to
 // build the K leave-fold-out models.
@@ -623,12 +511,6 @@ func WrapJackknifeCVModels(full Estimator, folds []Estimator, cal *workload.Work
 
 // Name implements PI.
 func (j *JackknifeCV) Name() string { return "jk-cv+/" + j.full.Name() }
-
-// Interval implements PI using the Algorithm-1 construction: the full
-// model's estimate ± the calibrated K-fold residual quantile.
-func (j *JackknifeCV) Interval(q workload.Query) (Interval, error) {
-	return clip(j.jk.IntervalSimple(j.full.EstimateSelectivity(q))), nil
-}
 
 // IntervalCV returns the full CV+ interval (Eq. 5) with its 1−2α
 // finite-sample guarantee; it evaluates all K fold models per query.

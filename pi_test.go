@@ -1,6 +1,7 @@
 package cardpi
 
 import (
+	"context"
 	"testing"
 
 	"cardpi/internal/conformal"
@@ -11,8 +12,13 @@ import (
 	"cardpi/internal/workload"
 )
 
+// interval answers one query with pi under a background context.
+func interval(pi PI, q workload.Query) (Interval, error) {
+	return IntervalCtx(context.Background(), pi, q)
+}
+
 // fixture builds a dataset, a histogram "model" and cal/test workloads.
-func fixture(t *testing.T) (Estimator, FeatureFunc, *workload.Workload, *workload.Workload, *workload.Workload) {
+func fixture(t *testing.T) (Estimator, AppendFeatureFunc, *workload.Workload, *workload.Workload, *workload.Workload) {
 	t.Helper()
 	tab, err := dataset.GenerateDMV(dataset.GenConfig{Rows: 5000, Seed: 1})
 	if err != nil {
@@ -27,9 +33,7 @@ func fixture(t *testing.T) (Estimator, FeatureFunc, *workload.Workload, *workloa
 		t.Fatal(err)
 	}
 	model := histogram.NewSingle(tab, histogram.Config{})
-	feat := estimator.NewFeaturizer(tab)
-	ff := func(q workload.Query) []float64 { return feat.Featurize(q) }
-	return model, ff, parts[0], parts[1], parts[2]
+	return model, estimator.NewFeaturizer(tab).AppendFeaturize, parts[0], parts[1], parts[2]
 }
 
 func TestWrapSplitCPCoverage(t *testing.T) {

@@ -42,7 +42,7 @@ func (l *LocallyWeighted) Beta() float64 { return l.beta }
 // NewLocallyWeightedFrom reassembles a locally weighted wrapper from its
 // frozen parts, skipping difficulty fitting and calibration entirely.
 func NewLocallyWeightedFrom(model Estimator, lw *conformal.LocallyWeighted,
-	g *gbm.Regressor, feats FeatureFunc, beta float64) (*LocallyWeighted, error) {
+	g *gbm.Regressor, feats AppendFeatureFunc, beta float64) (*LocallyWeighted, error) {
 	if model == nil || lw == nil || g == nil || feats == nil {
 		return nil, fmt.Errorf("cardpi: rehydrating locally-weighted: nil part")
 	}
@@ -73,7 +73,7 @@ func (l *Localized) Calibration() *conformal.Localized { return l.lcp }
 
 // NewLocalizedFrom reassembles a localized wrapper from a model and
 // previously calibrated state, skipping calibration entirely.
-func NewLocalizedFrom(model Estimator, lcp *conformal.Localized, feats FeatureFunc) (*Localized, error) {
+func NewLocalizedFrom(model Estimator, lcp *conformal.Localized, feats AppendFeatureFunc) (*Localized, error) {
 	if model == nil || lcp == nil || feats == nil {
 		return nil, fmt.Errorf("cardpi: rehydrating localized: nil part")
 	}
@@ -97,7 +97,7 @@ func (j *JackknifeCV) Calibration() *conformal.JackknifeCV { return j.jk }
 
 // NewJackknifeCVFrom reassembles a Jackknife+ wrapper from the full-data
 // model and previously calibrated fold residuals. folds may be nil (the
-// artifact bundle stores only the full model): Interval works unchanged,
+// artifact bundle stores only the full model): Intervals works unchanged,
 // while IntervalCV — which needs the K fold models — reports an error.
 func NewJackknifeCVFrom(full Estimator, folds []Estimator, jk *conformal.JackknifeCV) (*JackknifeCV, error) {
 	if full == nil || jk == nil {

@@ -173,12 +173,12 @@ type ResilientConfig struct {
 //     errors/timeouts, so a persistently failing model is skipped instead
 //     of paying its latency on every request.
 //
-// Deadlines: IntervalCtx checks the context between stages and forwards it
-// to context-aware stages; once the deadline passes, remaining model stages
-// are skipped and the fail-safe interval is returned immediately. Intervals
-// are in normalised selectivity units. Safe for concurrent use whenever the
-// wrapped stages are; the fault-free fast path adds zero heap allocations
-// per call (see TestResilientFastPathAllocs).
+// Deadlines: every stage runs under the caller's context, and the chain
+// checks it between stages; once the deadline passes, remaining model
+// stages are skipped and the fail-safe interval is returned immediately.
+// Intervals are in normalised selectivity units. Safe for concurrent use
+// whenever the wrapped stages are; the fault-free fast path adds zero heap
+// allocations per call (see TestResilientFastPathAllocs).
 type Resilient struct {
 	stages []PI // stages[0] is the primary
 	br     *breaker
@@ -272,126 +272,97 @@ func (r *Resilient) Primary() PI { return r.stages[0] }
 // concurrent use.
 func (r *Resilient) BreakerState() BreakerState { return r.br.current() }
 
-// Interval implements PI: IntervalCtx without a deadline. The returned
-// interval is always finite, ordered, and inside [0, 1]; the error is
-// always nil (failures degrade through the fallback chain instead).
-func (r *Resilient) Interval(q workload.Query) (Interval, error) {
-	iv, _ := r.IntervalDepthCtx(context.Background(), q)
-	return iv, nil
-}
-
-// IntervalCtx implements ContextPI. Unlike ordinary ContextPIs it never
-// returns an error — a dead context short-circuits to the fail-safe
-// full-domain interval so the caller still gets a valid (if trivial)
-// answer. Units are normalised selectivity.
-func (r *Resilient) IntervalCtx(ctx context.Context, q workload.Query) (Interval, error) {
-	iv, _ := r.IntervalDepthCtx(ctx, q)
-	return iv, nil
-}
-
-// IntervalDepthCtx answers the query and reports which stage served it:
-// depth 0 is the primary, 1..len(Fallbacks) the fallback stages, and
-// FailsafeDepth(r) (== 1+len(Fallbacks)) the fail-safe full-domain interval.
-// The interval is always finite, ordered, and inside [0, 1]. Safe for
-// concurrent use; the fault-free fast path adds zero heap allocations.
-func (r *Resilient) IntervalDepthCtx(ctx context.Context, q workload.Query) (Interval, int) {
-	r.calls.Inc()
-	for i, st := range r.stages {
-		if ctx.Err() != nil {
-			break // deadline gone: no time for more model stages
-		}
-		if i == 0 && !r.br.allow() {
-			r.skipped.Inc()
-			continue
-		}
-		iv, err := r.tryStage(ctx, st, q)
-		ok := err == nil && finiteInterval(iv)
-		if err == nil && !ok {
-			r.sanitized.Inc() // non-finite endpoints: demote to stage failure
-		}
-		if i == 0 {
-			if ok {
-				r.br.onSuccess()
-			} else {
-				r.br.onFailure()
-			}
-		}
-		if ok {
-			if iv.Lo > iv.Hi {
-				r.sanitized.Inc() // inverted finite bounds: Clip normalises
-			}
-			r.served[i].Inc()
-			return clip(iv), i
-		}
-		r.failed[i].Inc()
+// Intervals implements PI. Unlike ordinary PIs it never returns an error:
+// every row is finite, ordered, and inside [0, 1], degraded through the
+// fallback chain when a stage fails, and a done context short-circuits the
+// remaining rows to the fail-safe full-domain interval so the caller still
+// gets a valid (if trivial) answer. Units are normalised selectivity.
+func (r *Resilient) Intervals(ctx context.Context, qs []workload.Query, dst []Interval) error {
+	var one [1]int // a batch of one keeps its depth on the stack
+	depth := one[:]
+	if len(qs) != 1 {
+		depth = make([]int, len(qs))
 	}
-	r.servedFS.Inc()
-	return Interval{Lo: 0, Hi: 1}, len(r.stages)
+	r.serve(ctx, qs, dst, depth)
+	return nil
+}
+
+// IntervalDepthCtx answers one query and reports which stage served it:
+// depth 0 is the primary, 1..len(Fallbacks) the fallback stages, and
+// FailsafeDepth (== 1+len(Fallbacks)) the fail-safe full-domain interval.
+// It is the batch path over a batch of one. The interval is always finite,
+// ordered, and inside [0, 1]. Safe for concurrent use; the fault-free fast
+// path adds zero heap allocations.
+func (r *Resilient) IntervalDepthCtx(ctx context.Context, q workload.Query) (Interval, int) {
+	s := singlePool.Get().(*single)
+	s.q[0] = q
+	var depth [1]int
+	r.serve(ctx, s.q[:], s.iv[:], depth[:])
+	iv := s.iv[0]
+	singlePool.Put(s)
+	return iv, depth[0]
 }
 
 // FailsafeDepth returns the depth IntervalDepthCtx reports when the
 // fail-safe full-domain interval answered (one past the last fallback).
 func (r *Resilient) FailsafeDepth() int { return len(r.stages) }
 
-// IntervalBatch implements BatchPI with the chain's guarantees intact:
-// every returned interval is finite, ordered, and inside [0, 1], and the
-// error is always nil — per-query failures degrade through the fallback
-// chain exactly as in the sequential path.
-func (r *Resilient) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	ivs, _ := r.IntervalBatchDepthCtx(context.Background(), qs)
-	return ivs, nil
+// IntervalBatchDepthCtx answers the whole batch and reports which stage
+// served each query (same depth convention as IntervalDepthCtx).
+func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Query) ([]Interval, []int) {
+	out := make([]Interval, len(qs))
+	depth := make([]int, len(qs))
+	r.serve(ctx, qs, out, depth)
+	return out, depth
 }
 
-// IntervalBatchDepthCtx answers the whole batch and reports which stage
-// served each query (same depth convention as IntervalDepthCtx). Each stage
-// sees one batched call covering the queries every earlier stage failed to
+// serve is the chain's one execution path: it writes each query's interval
+// into dst and its serving stage into depth. Each stage sees one batched
+// call, under ctx, covering the queries every earlier stage failed to
 // serve; a query whose row comes back non-finite falls through to the next
-// stage individually, so one diverged row does not drag its batch-mates down
-// the chain. The breaker records one event per batch primary attempt —
-// success only when the call returned no error and every row was finite — so
-// a poisoned batch trips it at the same rate as a poisoned single query. The
-// context is checked between stages: once it is done, remaining queries go
-// straight to the fail-safe full-domain interval.
-func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Query) ([]Interval, []int) {
-	n := len(qs)
-	r.calls.Add(uint64(n))
-	out := make([]Interval, n)
-	depth := make([]int, n)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
+// stage individually, so one diverged row does not drag its batch-mates
+// down the chain. The breaker records one event per primary attempt —
+// success only when the call returned no error and every row was finite —
+// so a poisoned batch trips it at the same rate as a poisoned single query.
+// The context is checked between stages: once it is done, remaining queries
+// go straight to the fail-safe full-domain interval.
+func (r *Resilient) serve(ctx context.Context, qs []workload.Query, dst []Interval, depth []int) {
+	const pending = -1
+	for i := range depth {
+		depth[i] = pending
 	}
+	left := len(qs)
+	r.calls.Add(uint64(left))
 	var sub []workload.Query
+	var subIdx []int
+	var subIvs []Interval
 	for si, st := range r.stages {
-		if len(remaining) == 0 {
-			break
-		}
-		if ctx.Err() != nil {
-			break // deadline gone: no time for more model stages
+		if left == 0 || ctx.Err() != nil {
+			break // done, or the deadline is gone: no time for more model stages
 		}
 		if si == 0 && !r.br.allow() {
-			r.skipped.Add(uint64(len(remaining)))
+			r.skipped.Add(uint64(left))
 			continue
 		}
 		// The first attempted stage usually still owns the whole batch and
-		// can take qs directly; later stages gather their leftovers.
-		batch := qs
-		if len(remaining) != n {
-			sub = sub[:0]
-			for _, i := range remaining {
-				sub = append(sub, qs[i])
-			}
-			batch = sub
-		}
-		ivs, err := r.tryStageBatch(st, batch)
-		allOK := err == nil && len(ivs) == len(batch)
-		if allOK {
-			for _, iv := range ivs {
-				if !finiteInterval(iv) {
-					allOK = false
-					break
+		// answers straight into dst (unserved rows are overwritten later);
+		// later stages gather their leftovers.
+		batch, out, idx := qs, dst, []int(nil)
+		if left != len(qs) {
+			sub, subIdx = sub[:0], subIdx[:0]
+			for i, d := range depth {
+				if d == pending {
+					sub = append(sub, qs[i])
+					subIdx = append(subIdx, i)
 				}
 			}
+			subIvs = grow(subIvs, left)
+			batch, out, idx = sub, subIvs, subIdx
+		}
+		err := r.tryStage(ctx, st, batch, out)
+		allOK := err == nil
+		for j := 0; allOK && j < len(out); j++ {
+			allOK = finiteInterval(out[j])
 		}
 		if si == 0 {
 			if allOK {
@@ -400,59 +371,49 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 				r.br.onFailure()
 			}
 		}
-		if err != nil || len(ivs) != len(batch) {
-			r.failed[si].Add(uint64(len(remaining)))
+		if err != nil {
+			r.failed[si].Add(uint64(left))
 			continue
 		}
-		nr := 0
-		for j, i := range remaining {
-			iv := ivs[j]
+		for j, iv := range out {
+			i := j
+			if idx != nil {
+				i = idx[j]
+			}
 			if !finiteInterval(iv) {
 				r.sanitized.Inc() // non-finite endpoints: demote to stage failure
 				r.failed[si].Inc()
-				remaining[nr] = i
-				nr++
 				continue
 			}
 			if iv.Lo > iv.Hi {
 				r.sanitized.Inc() // inverted finite bounds: Clip normalises
 			}
 			r.served[si].Inc()
-			out[i] = clip(iv)
+			dst[i] = clip(iv)
 			depth[i] = si
+			left--
 		}
-		remaining = remaining[:nr]
 	}
-	for _, i := range remaining {
-		out[i] = Interval{Lo: 0, Hi: 1}
-		depth[i] = len(r.stages)
-		r.servedFS.Inc()
+	for i, d := range depth {
+		if d == pending {
+			dst[i] = Interval{Lo: 0, Hi: 1}
+			depth[i] = len(r.stages)
+			r.servedFS.Inc()
+		}
 	}
-	return out, depth
 }
 
-// tryStageBatch runs one stage's whole-batch attempt under panic recovery,
-// mirroring tryStage.
-func (r *Resilient) tryStageBatch(pi PI, qs []workload.Query) (ivs []Interval, err error) {
+// tryStage runs one stage's batched attempt under panic recovery: a
+// panicking stage becomes a stage failure instead of unwinding into the
+// caller.
+func (r *Resilient) tryStage(ctx context.Context, pi PI, qs []workload.Query, dst []Interval) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.panics.Inc()
 			err = fmt.Errorf("cardpi: recovered panic in %s: %v", pi.Name(), p)
 		}
 	}()
-	return IntervalBatch(pi, qs)
-}
-
-// tryStage runs one stage under panic recovery: a panicking stage becomes a
-// stage failure instead of unwinding into the caller.
-func (r *Resilient) tryStage(ctx context.Context, pi PI, q workload.Query) (iv Interval, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.panics.Inc()
-			err = fmt.Errorf("cardpi: recovered panic in %s: %v", pi.Name(), p)
-		}
-	}()
-	return IntervalCtx(ctx, pi, q)
+	return pi.Intervals(ctx, qs, dst)
 }
 
 // finiteInterval reports whether both endpoints are finite (not NaN, not

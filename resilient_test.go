@@ -22,14 +22,17 @@ type scriptedPI struct {
 }
 
 func (s *scriptedPI) Name() string { return "scripted/unit" }
-func (s *scriptedPI) Interval(workload.Query) (Interval, error) {
+func (s *scriptedPI) Intervals(_ context.Context, _ []workload.Query, dst []Interval) error {
 	if s.panic {
 		panic("scripted panic")
 	}
 	if s.fail {
-		return Interval{}, errors.New("scripted failure")
+		return errors.New("scripted failure")
 	}
-	return s.iv, nil
+	for i := range dst {
+		dst[i] = s.iv
+	}
+	return nil
 }
 
 func mustResilient(t *testing.T, primary PI, cfg ResilientConfig) *Resilient {
@@ -51,7 +54,7 @@ func TestResilientHealthyPassthrough(t *testing.T) {
 	if iv != want || depth != 0 {
 		t.Fatalf("iv = %+v depth = %d, want primary passthrough", iv, depth)
 	}
-	if _, err := r.Interval(workload.Query{}); err != nil {
+	if _, err := interval(r, workload.Query{}); err != nil {
 		t.Fatalf("Interval err = %v", err)
 	}
 }
@@ -110,7 +113,7 @@ func TestResilientDeadlineShortCircuitsToFailsafe(t *testing.T) {
 	if r.BreakerState() != BreakerClosed {
 		t.Fatal("a dead context before any attempt must not count against the breaker")
 	}
-	if iv, err := r.IntervalCtx(ctx, workload.Query{}); err != nil || iv != (Interval{Lo: 0, Hi: 1}) {
+	if iv, err := IntervalCtx(ctx, r, workload.Query{}); err != nil || iv != (Interval{Lo: 0, Hi: 1}) {
 		t.Fatalf("IntervalCtx on dead context = %+v, %v; want failsafe, nil", iv, err)
 	}
 }
@@ -210,7 +213,7 @@ func TestResilientChaosGracefulDegradation(t *testing.T) {
 
 	baselineCovered := 0
 	for _, lq := range test.Queries {
-		iv, err := base.Interval(lq.Query)
+		iv, err := interval(base, lq.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +224,7 @@ func TestResilientChaosGracefulDegradation(t *testing.T) {
 
 	covered, total := 0, 0
 	for _, lq := range test.Queries {
-		iv, err := r.Interval(lq.Query)
+		iv, err := interval(r, lq.Query)
 		if err != nil {
 			t.Fatalf("resilient chain returned an error: %v", err)
 		}
@@ -275,7 +278,7 @@ func TestResilientChaosUnderDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	iv, err := r.IntervalCtx(ctx, workload.Query{})
+	iv, err := IntervalCtx(ctx, r, workload.Query{})
 	if err != nil || iv != (Interval{Lo: 0, Hi: 1}) {
 		t.Fatalf("iv = %+v err = %v, want failsafe and nil error", iv, err)
 	}
@@ -286,7 +289,7 @@ func TestResilientChaosUnderDeadline(t *testing.T) {
 
 // TestResilientFastPathAllocs is the acceptance allocation guard: on the
 // fault-free fast path the wrapper must add zero heap allocations per
-// Interval call over the wrapped PI's own cost.
+// single-query call over the wrapped PI's own cost.
 func TestResilientFastPathAllocs(t *testing.T) {
 	model, _, _, cal, test := fixture(t)
 	base, err := WrapSplitCP(model, cal, conformal.ResidualScore{}, 0.1)
@@ -296,12 +299,12 @@ func TestResilientFastPathAllocs(t *testing.T) {
 	r := mustResilient(t, base, ResilientConfig{Fallbacks: []PI{base}})
 	q := test.Queries[0].Query
 	bare := testing.AllocsPerRun(200, func() {
-		if _, err := base.Interval(q); err != nil {
+		if _, err := interval(base, q); err != nil {
 			t.Fatal(err)
 		}
 	})
 	wrapped := testing.AllocsPerRun(200, func() {
-		if _, err := r.Interval(q); err != nil {
+		if _, err := interval(r, q); err != nil {
 			t.Fatal(err)
 		}
 	})
