@@ -93,7 +93,7 @@ func main() {
 
 // parseLine parses one result line, e.g.
 //
-//	BenchmarkFit/workers=8-4  5  12479618 ns/op  152947 B/op  215 allocs/op
+//	BenchmarkFit/sequential-4  100  11131355 ns/op  96464 B/op  46 allocs/op
 //
 // Trailing custom metrics (`0.91 coverage`) land in Metrics.
 func parseLine(line string) (Benchmark, bool) {
@@ -161,7 +161,6 @@ func speedups(bs []Benchmark) map[string]float64 {
 			out[key] = nsq[base] / nsq[fast]
 		}
 	}
-	ratio("fit_workers8_vs_seed", "BenchmarkFit/seed", "BenchmarkFit/workers=8")
 	ratio("fit_sequential_vs_seed", "BenchmarkFit/seed", "BenchmarkFit/sequential")
 	ratio("intervalcv_fast_vs_reference", "BenchmarkIntervalCV/reference", "BenchmarkIntervalCV/fast")
 	// Queries/sec gained by the batched inference path (BENCH_pi.json).

@@ -195,10 +195,11 @@ func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 		registryError(w, err)
 		return
 	}
-	// The routed unit just changed identity; retire every cached interval
-	// (the epoch is server-wide, so caches that resolved the old unit die
-	// too). Bump strictly after the registry published the new active ref.
-	s.invalidateCaches()
+	// The routed unit just changed identity; retire every cached interval.
+	// Every unit shares one epoch, so bumping it through the default unit
+	// also kills the caches that resolved the old unit. Bump strictly after
+	// the registry published the new active ref.
+	s.def.invalidate()
 	logStderr("promoted %s@v%d (force=%v)", key, ref.Version, req.Force)
 	writeAdminJSON(w, s.switchResponse(key, ref.Version))
 }
@@ -225,7 +226,7 @@ func (s *server) handleAdminRollback(w http.ResponseWriter, r *http.Request) {
 		registryError(w, err)
 		return
 	}
-	s.invalidateCaches()
+	s.def.invalidate()
 	logStderr("rolled back %s to v%d", key, ref.Version)
 	writeAdminJSON(w, s.switchResponse(key, ref.Version))
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -386,20 +387,12 @@ type servingUnit struct {
 	cache *cache.Cache
 }
 
-// invalidate bumps the shared cache epoch (no-op when caching is off). Call
-// it only after the new serving state is published — see cache.Epoch.Bump.
+// invalidate bumps the cache epoch every unit shares, retiring the cached
+// intervals of all units at once (no-op when caching is off). Call it only
+// after the new serving state is published — see cache.Epoch.Bump.
 func (u *servingUnit) invalidate() {
 	if u.cache != nil {
 		u.cache.Invalidate()
-	}
-}
-
-// invalidateCaches bumps the server-wide cache epoch directly — promote and
-// rollback change which unit a route resolves to, which no single unit's
-// cache can know about. No-op when caching is off.
-func (s *server) invalidateCaches() {
-	if s.epoch != nil {
-		s.epoch.Bump()
 	}
 }
 
@@ -417,26 +410,18 @@ type unitOpts struct {
 	breakerFailures int
 	breakerOpen     time.Duration
 	metrics         *obs.Registry
-	// cacheEntries > 0 attaches an interval cache; cacheEpoch is the
-	// server-wide invalidation epoch every unit cache shares, and
-	// cacheMetrics the unit-labeled cardpi_cache_* instruments (both built
-	// by newServer so they land in the served registry, not the unit's
-	// possibly-private one).
-	cacheEntries int
-	cacheShards  int
-	cacheEpoch   *cache.Epoch
-	cacheMetrics *cache.Metrics
+	// cache configures the unit's interval cache; Entries == 0 leaves
+	// caching off. newServer fills it so that every unit shares the
+	// server-wide epoch and reports unit-labeled cardpi_cache_* instruments
+	// into the served registry, not the unit's possibly-private one.
+	cache cache.Config
 }
 
-// newServingUnit assembles the fault-tolerant chain for one bundle:
-//
-//	Resilient( Instrument(primary), fallback: histogram split-CP, failsafe: [0,1] )
-//
-// The primary keeps its Instrumented wrapper so the cardpi_pi_* families
-// stay live; the fallback is a split-CP interval around a plain histogram
-// estimator calibrated at alpha/2 — cheap, allocation-light, and with no
-// failure modes of its own — so a sick primary degrades to wider intervals
-// rather than errors. The adaptive drift monitor is seeded with the
+// newServingUnit assembles the fault-tolerant chain for one bundle (see
+// newChain). Its fallback stage is a split-CP interval around a plain
+// histogram estimator calibrated at alpha/2 — cheap, allocation-light, and
+// with no failure modes of its own — so a sick primary degrades to wider
+// intervals rather than errors. The adaptive drift monitor is seeded with the
 // calibration workload — for artifact- and registry-loaded bundles that is
 // the bundled calibration workload, so the monitor starts from the exact
 // state the training run froze.
@@ -463,29 +448,41 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	resilient, err := cardpi.NewResilient(cardpi.Instrument(s.PI, o.metrics), cardpi.ResilientConfig{
-		Fallbacks:        []cardpi.PI{fallback},
-		FailureThreshold: o.breakerFailures,
-		OpenFor:          o.breakerOpen,
-		Metrics:          o.metrics,
-	})
+	u := &servingUnit{adaptive: adaptive, fallback: fallback, uopts: o}
+	ch, err := u.newChain(s.Model, s.PI)
 	if err != nil {
 		return nil, err
 	}
-	u := &servingUnit{adaptive: adaptive, fallback: fallback, uopts: o}
 	u.tab.Store(s.Table)
-	u.chain.Store(&servingChain{model: s.Model, resilient: resilient})
-	if o.cacheEntries > 0 {
-		u.cache = cache.New(cache.Config{
-			Entries: o.cacheEntries, Shards: o.cacheShards,
-			Epoch: o.cacheEpoch, Metrics: o.cacheMetrics,
-		})
+	u.chain.Store(ch)
+	if o.cache.Entries > 0 {
+		u.cache = cache.New(o.cache)
 		// Any committed recalibration — the supervisor's swap, an admin
 		// trigger, a direct call — lands after the adaptive monitor's new
 		// state is visible, so cached intervals from the old state die here.
 		adaptive.OnRecalibrate(u.invalidate)
 	}
 	return u, nil
+}
+
+// newChain builds the unit's serving chain around a primary PI:
+//
+//	Resilient( Instrument(primary), fallback: histogram split-CP, failsafe: [0,1] )
+//
+// with the unit's fallback stage and breaker tuning, both at startup and
+// for every recalibration swap. The primary keeps its Instrumented wrapper
+// so the cardpi_pi_* families stay live.
+func (u *servingUnit) newChain(model cardpi.Estimator, primary cardpi.PI) (*servingChain, error) {
+	resilient, err := cardpi.NewResilient(cardpi.Instrument(primary, u.uopts.metrics), cardpi.ResilientConfig{
+		Fallbacks:        []cardpi.PI{u.fallback},
+		FailureThreshold: u.uopts.breakerFailures,
+		OpenFor:          u.uopts.breakerOpen,
+		Metrics:          u.uopts.metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &servingChain{model: model, resilient: resilient}, nil
 }
 
 // swapChain is the commit half of a validated recalibration candidate:
@@ -496,19 +493,14 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 // fail-closed — nothing is published until every fallible step has
 // succeeded, so an error return leaves the old chain serving untouched.
 func (u *servingUnit) swapChain(c *recal.Candidate) error {
-	resilient, err := cardpi.NewResilient(cardpi.Instrument(c.PI, u.uopts.metrics), cardpi.ResilientConfig{
-		Fallbacks:        []cardpi.PI{u.fallback},
-		FailureThreshold: u.uopts.breakerFailures,
-		OpenFor:          u.uopts.breakerOpen,
-		Metrics:          u.uopts.metrics,
-	})
+	ch, err := u.newChain(c.Model, c.PI)
 	if err != nil {
 		return err
 	}
 	if err := u.adaptive.RecalibrateModel(c.Model, c.Window); err != nil {
 		return err
 	}
-	u.chain.Store(&servingChain{model: c.Model, resilient: resilient})
+	u.chain.Store(ch)
 	// Publish first, then invalidate: a request racing the swap either
 	// resolved the old chain (and may briefly refill old-epoch entries that
 	// the Put epoch check drops) or sees the new chain with an empty cache.
@@ -525,12 +517,6 @@ type server struct {
 	timeout  time.Duration
 	maxBatch int
 	health   healthResponse
-
-	// epoch is the server-wide interval-cache invalidation epoch shared by
-	// every unit's cache (nil when -cache-entries is 0). Registry promotes
-	// and rollbacks bump it directly — the routed unit changes identity, so
-	// every cache that might hold the old unit's intervals must die.
-	epoch *cache.Epoch
 
 	// scenarioAdmin gates POST /admin/scenario; scenarioMu serialises its
 	// clone → mutate → publish cycles so concurrent drills cannot interleave.
@@ -555,17 +541,12 @@ type server struct {
 	waiters  atomic.Int64
 	maxQueue int64
 
-	reqOK           *obs.Counter
-	reqBad          *obs.Counter
-	reqShed         *obs.Counter
+	// single and batch are the /estimate and /estimate/batch request
+	// families; the rest are shared or batch-only instruments.
+	single, batch   endpointMetrics
 	shed            *obs.Counter
 	inflight        *obs.IntGauge
-	lat             *obs.Histogram
-	batchOK         *obs.Counter
-	batchBad        *obs.Counter
-	batchShed       *obs.Counter
 	batchSize       *obs.Histogram
-	batchLat        *obs.Histogram
 	batchWireJSON   *obs.Counter
 	batchWireBinary *obs.Counter
 	metricsHandler  http.Handler
@@ -575,6 +556,13 @@ type server struct {
 	// /estimate/batch requests, so a warm server allocates O(1) per batch
 	// instead of O(batch size).
 	scratch sync.Pool
+}
+
+// endpointMetrics are one estimate endpoint's documented families:
+// completed requests by response class, and end-to-end latency.
+type endpointMetrics struct {
+	ok, bad, shed *obs.Counter
+	lat           *obs.Histogram
 }
 
 // serveScratch is one pooled per-request buffer set. Slices are sized from
@@ -588,11 +576,11 @@ type serveScratch struct {
 	results []estimateResponse // per-query replies
 	wire    []codec.WireResult // binary response frames
 	depths  []int              // per-query chain depths
+	cres    []cache.Result     // per-query cached/computed cores
+	hits    []bool             // per-query cached markers
 
-	// Interval-cache batch state (unused when -cache-entries is 0).
+	// Interval-cache probe state (unused when -cache-entries is 0).
 	keys    []cache.Key      // per-query canonical hashes
-	cres    []cache.Result   // per-query cached/computed cores
-	hits    []bool           // per-query hit markers
 	missQs  []workload.Query // cold queries, in batch order
 	missIdx []int            // cold queries' positions in the batch
 }
@@ -625,18 +613,26 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	if o.cacheEntries > 0 {
 		epoch = new(cache.Epoch)
 	}
-	defUnit := unitOpts{
+	// cacheFor configures one unit's interval cache: the server-wide epoch,
+	// so one bump retires every unit's entries, and unit-labeled
+	// cardpi_cache_* instruments in the served registry (the obs families
+	// collide only on identical label sets). Caching off gives the zero
+	// config.
+	cacheFor := func(unit string) cache.Config {
+		if epoch == nil {
+			return cache.Config{}
+		}
+		return cache.Config{
+			Entries: o.cacheEntries, Shards: o.cacheShards, Epoch: epoch,
+			Metrics: cache.NewMetrics(o.metrics, obs.L("unit", unit)),
+		}
+	}
+	def, err := newServingUnit(s, unitOpts{
 		alpha: o.alpha, window: o.window, seed: o.seed,
 		breakerFailures: o.breakerFailures, breakerOpen: o.breakerOpen,
 		metrics: o.metrics,
-	}
-	if epoch != nil {
-		defUnit.cacheEntries = o.cacheEntries
-		defUnit.cacheShards = o.cacheShards
-		defUnit.cacheEpoch = epoch
-		defUnit.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", "default"))
-	}
-	def, err := newServingUnit(s, defUnit)
+		cache:   cacheFor("default"),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -673,15 +669,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 		uo := unitBase
 		uo.alpha = ref.Manifest.Alpha
 		uo.seed = ref.Manifest.Seed
-		if epoch != nil {
-			// Unit-labeled cache instruments go to the served registry (the
-			// obs families collide only on identical label sets); everything
-			// else stays on the unit's private registry.
-			uo.cacheEntries = o.cacheEntries
-			uo.cacheShards = o.cacheShards
-			uo.cacheEpoch = epoch
-			uo.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", k.String()))
-		}
+		uo.cache = cacheFor(k.String())
 		return newServingUnit(rs, uo) // nil metrics → private registry per unit
 	}, registry.Options{
 		CacheSize:    o.registryCache,
@@ -691,7 +679,6 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	srv := &server{
 		def:           def,
 		reg:           reg,
-		epoch:         epoch,
 		timeout:       o.timeout,
 		maxBatch:      o.maxBatch,
 		health:        healthFor(o.source),
@@ -711,11 +698,11 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 			results: make([]estimateResponse, 0, maxBatchCap),
 			wire:    make([]codec.WireResult, 0, maxBatchCap),
 			depths:  make([]int, 0, maxBatchCap),
+			cres:    make([]cache.Result, 0, maxBatchCap),
+			hits:    make([]bool, 0, maxBatchCap),
 		}
 		if epoch != nil {
 			sc.keys = make([]cache.Key, 0, maxBatchCap)
-			sc.cres = make([]cache.Result, 0, maxBatchCap)
-			sc.hits = make([]bool, 0, maxBatchCap)
 			sc.missQs = make([]workload.Query, 0, maxBatchCap)
 			sc.missIdx = make([]int, 0, maxBatchCap)
 		}
@@ -734,27 +721,27 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	}
 	// Resolve (and thereby pre-create, so /metrics shows the families at 0
 	// before any traffic) the serving instruments.
-	srv.reqOK = o.metrics.Counter("cardpi_serve_requests_total",
+	srv.single.ok = o.metrics.Counter("cardpi_serve_requests_total",
 		"Completed /estimate requests by response class.", obs.L("class", "ok"))
-	srv.reqBad = o.metrics.Counter("cardpi_serve_requests_total",
+	srv.single.bad = o.metrics.Counter("cardpi_serve_requests_total",
 		"Completed /estimate requests by response class.", obs.L("class", "bad_request"))
-	srv.reqShed = o.metrics.Counter("cardpi_serve_requests_total",
+	srv.single.shed = o.metrics.Counter("cardpi_serve_requests_total",
 		"Completed /estimate requests by response class.", obs.L("class", "shed"))
 	srv.shed = o.metrics.Counter("cardpi_serve_shed_total",
 		"Requests rejected by admission control (429 + Retry-After).")
 	srv.inflight = o.metrics.IntGauge("cardpi_serve_inflight",
 		"/estimate requests currently holding an execution slot.")
-	srv.lat = o.metrics.Histogram("cardpi_serve_request_seconds",
+	srv.single.lat = o.metrics.Histogram("cardpi_serve_request_seconds",
 		"End-to-end /estimate latency in seconds, admission wait included.", obs.LatencyBuckets)
-	srv.batchOK = o.metrics.Counter("cardpi_serve_batch_requests_total",
+	srv.batch.ok = o.metrics.Counter("cardpi_serve_batch_requests_total",
 		"Completed /estimate/batch requests by response class.", obs.L("class", "ok"))
-	srv.batchBad = o.metrics.Counter("cardpi_serve_batch_requests_total",
+	srv.batch.bad = o.metrics.Counter("cardpi_serve_batch_requests_total",
 		"Completed /estimate/batch requests by response class.", obs.L("class", "bad_request"))
-	srv.batchShed = o.metrics.Counter("cardpi_serve_batch_requests_total",
+	srv.batch.shed = o.metrics.Counter("cardpi_serve_batch_requests_total",
 		"Completed /estimate/batch requests by response class.", obs.L("class", "shed"))
 	srv.batchSize = o.metrics.Histogram("cardpi_serve_batch_size",
 		"Queries per accepted /estimate/batch request.", batchSizeBuckets)
-	srv.batchLat = o.metrics.Histogram("cardpi_serve_batch_request_seconds",
+	srv.batch.lat = o.metrics.Histogram("cardpi_serve_batch_request_seconds",
 		"End-to-end /estimate/batch latency in seconds, admission wait included.", obs.LatencyBuckets)
 	srv.batchWireJSON = o.metrics.Counter("cardpi_serve_batch_wire_total",
 		"Answered /estimate/batch requests by negotiated wire format.", obs.L("wire_format", "json"))
@@ -914,8 +901,7 @@ type estimateResponse struct {
 // corruption, eviction racing a disk loss) degrades to the default unit —
 // the estimate path never turns a registry fault into a 5xx. On ok=false
 // the error response has already been written; the caller only counts it.
-func (s *server) route(w http.ResponseWriter, r *http.Request) (u *servingUnit, bundle string, degraded, ok bool) {
-	values := r.URL.Query()
+func (s *server) route(w http.ResponseWriter, values url.Values) (u *servingUnit, bundle string, degraded, ok bool) {
 	tenant, table := values.Get("tenant"), values.Get("table")
 	if tenant == "" && table == "" {
 		return s.def, "", false, true
@@ -938,12 +924,44 @@ func (s *server) route(w http.ResponseWriter, r *http.Request) (u *servingUnit, 
 	return l.Value, fmt.Sprintf("%s@v%d", key, l.Ref.Version), false, true
 }
 
+// handleEstimate answers GET /estimate?q=... as a batch of one through the
+// serving core /estimate/batch uses, so a query's reply is field-for-field
+// its batch element.
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	s.serveEstimate(w, r, false)
+}
+
+// handleEstimateBatch answers POST /estimate/batch: the whole batch takes
+// one admission slot and one deadline, runs through the serving core (the
+// model's matrix kernels answer its cold queries in one pass), and returns
+// per-query results element-wise identical to /estimate. Any malformed
+// query rejects the whole batch with a 400 naming its index — partial
+// answers would make "which result is which" ambiguous.
+//
+// Two wire formats are negotiated via the request Content-Type: the default
+// JSON body, and the compact binary frame format (codec.WireContentType) —
+// a binary request gets a binary response. All request-sized buffers come
+// from the server scratch pool, so a warm server allocates O(1) per batch in
+// either format.
+func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
+	s.serveEstimate(w, r, true)
+}
+
+// serveEstimate is the request path both estimate endpoints share:
+// admission control, the per-request deadline, routing, reading the query
+// texts, the unit's serving core (servingUnit.answer) and the reply. batch
+// selects the endpoint's request and reply shapes and its request-class
+// counters and latency histogram.
+func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch bool) {
+	m := &s.single
+	if batch {
+		m = &s.batch
+	}
 	start := time.Now()
 	release, ok := s.admit(r.Context())
 	if !ok {
 		s.shed.Inc()
-		s.reqShed.Inc()
+		m.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "overloaded",
 			"server at capacity; retry after the indicated delay")
@@ -952,57 +970,231 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	defer func() { s.lat.Observe(time.Since(start).Seconds()) }()
+	defer func() { m.lat.Observe(time.Since(start).Seconds()) }()
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 
-	u, bundle, degraded, ok := s.route(w, r)
-	if !ok {
-		s.reqBad.Inc()
-		return
-	}
 	values := r.URL.Query()
-	if !values.Has("q") {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "missing_query",
-			"missing query parameter q, e.g. /estimate?q=state+%%3D+3")
+	u, bundle, degraded, ok := s.route(w, values)
+	if !ok {
+		m.bad.Inc()
 		return
-	}
-	line := values.Get("q")
-	if line == "" {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "empty_query", "query parameter q is empty")
-		return
-	}
-	if len(line) > maxQueryBytes {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "query_too_long",
-			"query parameter q exceeds %d bytes", maxQueryBytes)
-		return
-	}
-	tab, ch := u.table(), u.current()
-	q, err := workload.ParseQuery(tab, line)
-	if err != nil {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "parse_error", "parse %q: %v", line, err)
-		return
-	}
-
-	var resp estimateResponse
-	if u.cache != nil {
-		resp = u.serveCached(ctx, tab, ch, line, q, bundle, degraded)
-	} else {
-		// The resilient chain never fails: a sick primary degrades through
-		// the fallback stages down to the fail-safe full-domain interval.
-		iv, depth := ch.resilient.IntervalDepthCtx(ctx, q)
-		resp = u.respond(ch, tab, line, q, iv, depth, bundle, degraded)
 	}
 	sc := s.scratch.Get().(*serveScratch)
 	defer s.scratch.Put(sc)
-	if writeJSON(w, &sc.buf, resp) {
-		s.reqOK.Inc()
+	var lines []string
+	binary := batch && strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
+	if batch {
+		lines, ok = s.readBatch(w, r, sc, binary)
+	} else {
+		lines, ok = readSingle(w, values, sc)
 	}
+	if !ok {
+		m.bad.Inc()
+		return
+	}
+	tab, bad, err := u.answer(ctx, sc, lines, bundle, degraded)
+	if err != nil {
+		m.bad.Inc()
+		msg := fmt.Sprintf("parse %q: %v", lines[bad], err)
+		if batch {
+			msg = fmt.Sprintf("query %d: %s", bad, msg)
+		}
+		httpError(w, http.StatusBadRequest, "parse_error", "%s", msg)
+		return
+	}
+	if batch {
+		s.batchSize.Observe(float64(len(lines)))
+		ok = s.writeBatch(w, sc, tab, binary)
+	} else {
+		ok = writeJSON(w, &sc.buf, sc.results[0])
+	}
+	if ok {
+		m.ok.Inc()
+	}
+}
+
+// readSingle takes /estimate's query text from the q parameter. On a
+// malformed request it writes the 400 and reports false.
+func readSingle(w http.ResponseWriter, values url.Values, sc *serveScratch) ([]string, bool) {
+	if !values.Has("q") {
+		httpError(w, http.StatusBadRequest, "missing_query",
+			"missing query parameter q, e.g. /estimate?q=state+%%3D+3")
+		return nil, false
+	}
+	line := values.Get("q")
+	if line == "" {
+		httpError(w, http.StatusBadRequest, "empty_query", "query parameter q is empty")
+		return nil, false
+	}
+	if len(line) > maxQueryBytes {
+		httpError(w, http.StatusBadRequest, "query_too_long",
+			"query parameter q exceeds %d bytes", maxQueryBytes)
+		return nil, false
+	}
+	sc.lines = append(sc.lines[:0], line)
+	return sc.lines, true
+}
+
+// readBatch takes /estimate/batch's query texts from a binary or JSON body.
+// On a malformed request it writes the 400 and reports false.
+func (s *server) readBatch(w http.ResponseWriter, r *http.Request, sc *serveScratch, binary bool) ([]string, bool) {
+	var lines []string
+	if binary {
+		var err error
+		sc.body, err = appendReadAll(sc.body[:0], r.Body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "invalid_wire", "read request body: %v", err)
+			return nil, false
+		}
+		sc.rawQ, err = codec.DecodeWireRequest(sc.body, sc.rawQ[:0])
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "invalid_wire", "decode binary batch: %v", err)
+			return nil, false
+		}
+		sc.lines = sc.lines[:0]
+		for _, q := range sc.rawQ {
+			sc.lines = append(sc.lines, string(q))
+		}
+		lines = sc.lines
+	} else {
+		var req batchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			httpError(w, http.StatusBadRequest, "invalid_json",
+				"decode request body: %v (expected {\"queries\": [\"...\"]})", err)
+			return nil, false
+		}
+		lines = req.Queries
+	}
+	if len(lines) == 0 {
+		httpError(w, http.StatusBadRequest, "empty_batch", "queries list is empty")
+		return nil, false
+	}
+	if len(lines) > s.maxBatch {
+		httpError(w, http.StatusBadRequest, "batch_too_large",
+			"%d queries exceed the per-request cap of %d", len(lines), s.maxBatch)
+		return nil, false
+	}
+	for i, line := range lines {
+		if line == "" {
+			httpError(w, http.StatusBadRequest, "empty_query", "query %d is empty", i)
+			return nil, false
+		}
+		if len(line) > maxQueryBytes {
+			httpError(w, http.StatusBadRequest, "query_too_long",
+				"query %d exceeds %d bytes", i, maxQueryBytes)
+			return nil, false
+		}
+	}
+	return lines, true
+}
+
+// writeBatch writes the answered batch in the request's wire format and
+// reports whether the reply was written.
+func (s *server) writeBatch(w http.ResponseWriter, sc *serveScratch, tab *dataset.Table, binary bool) bool {
+	if !binary {
+		s.batchWireJSON.Inc()
+		return writeJSON(w, &sc.buf, batchResponse{Count: len(sc.results), Results: sc.results})
+	}
+	s.batchWireBinary.Inc()
+	sc.wire = sc.wire[:0]
+	for i := range sc.results {
+		sc.wire = append(sc.wire, wireResult(&sc.results[i], sc.depths[i]))
+	}
+	sc.body = codec.AppendWireResponse(sc.body[:0], uint64(tab.NumRows()), sc.wire)
+	w.Header().Set("Content-Type", codec.WireContentType)
+	_, _ = w.Write(sc.body)
+	return true
+}
+
+// answer is the serving core behind both estimate endpoints: it parses
+// lines against the unit's table, answers every query, and leaves the
+// replies in sc.results and their chain depths in sc.depths. It returns the
+// table it answered against or, when a line does not parse, that line's
+// index and the parse error.
+//
+// The epoch snapshot precedes the table/chain resolution on purpose:
+// results stored under this epoch were computed against state resolved
+// after it, so swap-then-bump can never leave stale entries reachable. The
+// cache is probed per row; with the cache off every row is a miss. The miss
+// count then picks one of two paths:
+//
+//   - Exactly one miss with the cache on goes through cache.Do, so N
+//     identical cold requests cost one chain execution. The flight leader
+//     re-resolves the chain and table INSIDE the flight, after Do
+//     snapshotted the epoch — the same ordering argument.
+//   - Otherwise the misses run as ONE batched chain execution: a
+//     mostly-warm batch rides the matrix kernels for just its cold rows,
+//     and within-batch duplicate misses are computed together.
+//
+// Only depth-0 (primary-served) results are stored — degraded intervals
+// are transient and must not outlive the fault that caused them. Replies
+// render with the table and chain resolved here, so every field of one
+// reply stays consistent while a swap publishes new pointers mid-request.
+func (u *servingUnit) answer(ctx context.Context, sc *serveScratch, lines []string, bundle string, degraded bool) (*dataset.Table, int, error) {
+	var epoch uint64
+	if u.cache != nil {
+		epoch = u.cache.Epoch().Load()
+	}
+	tab, ch := u.table(), u.current()
+	sc.qs = sc.qs[:0]
+	for i, line := range lines {
+		q, err := workload.ParseQuery(tab, line)
+		if err != nil {
+			return nil, i, err
+		}
+		sc.qs = append(sc.qs, q)
+	}
+	n := len(sc.qs)
+	sc.cres = append(sc.cres[:0], make([]cache.Result, n)...)
+	sc.depths = append(sc.depths[:0], make([]int, n)...)
+	sc.hits = append(sc.hits[:0], make([]bool, n)...)
+	misses, missIdx := sc.qs, []int(nil)
+	if u.cache != nil {
+		sc.keys, sc.missQs, sc.missIdx = sc.keys[:0], sc.missQs[:0], sc.missIdx[:0]
+		for i, q := range sc.qs {
+			k := cache.KeyOf(q)
+			sc.keys = append(sc.keys, k)
+			if sc.cres[i], sc.hits[i] = u.cache.Get(k); !sc.hits[i] {
+				sc.missQs = append(sc.missQs, q)
+				sc.missIdx = append(sc.missIdx, i)
+			}
+		}
+		misses, missIdx = sc.missQs, sc.missIdx
+	}
+	// run answers the misses against one resolved (table, chain) pair and,
+	// when put is set, stores each depth-0 result under the snapshot epoch.
+	run := func(tab *dataset.Table, ch *servingChain, put bool) {
+		ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, misses)
+		for j, q := range misses {
+			i := j
+			if missIdx != nil {
+				i = missIdx[j]
+			}
+			sc.cres[i], sc.depths[i] = u.computeResult(ch, tab, q, ivs[j]), depths[j]
+			if put && depths[j] == 0 {
+				u.cache.Put(sc.keys[i], epoch, sc.cres[i])
+			}
+		}
+	}
+	switch {
+	case u.cache != nil && len(misses) == 1:
+		i := missIdx[0]
+		// The flight fn never errors, so neither does Do.
+		res, depth, shared, _ := u.cache.Do(sc.keys[i], func() (cache.Result, uint64, bool, error) {
+			run(u.table(), u.current(), false)
+			return sc.cres[i], uint64(sc.depths[i]), sc.depths[i] == 0, nil
+		})
+		sc.cres[i], sc.depths[i], sc.hits[i] = res, int(depth), shared
+	case len(misses) > 0:
+		run(tab, ch, u.cache != nil)
+	}
+	sc.results = sc.results[:0]
+	for i := range sc.qs {
+		sc.results = append(sc.results, u.render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.hits[i]))
+	}
+	return tab, 0, nil
 }
 
 // writeJSON encodes v, indented, into buf and writes it as a 200 reply. A
@@ -1033,19 +1225,6 @@ func (f nullFloat) MarshalJSON() ([]byte, error) {
 		return []byte("null"), nil
 	}
 	return json.Marshal(v)
-}
-
-// respond assembles the per-query answer around a served interval. Both
-// /estimate and /estimate/batch go through here, so a query's batch element
-// is field-for-field identical to its single-query reply. ch and tab are the
-// chain and table the handler resolved at admission — passing them through
-// keeps every field of one reply consistent even while a recalibration swap
-// or scenario mutation publishes new pointers mid-request. bundle and
-// degraded carry routing provenance: which registry bundle answered (empty
-// on the unrouted path) and whether a registry fault forced the default
-// unit regardless of the chain depth.
-func (u *servingUnit) respond(ch *servingChain, tab *dataset.Table, line string, q workload.Query, iv cardpi.Interval, depth int, bundle string, degraded bool) estimateResponse {
-	return u.render(ch, tab, line, u.computeResult(ch, tab, q, iv), depth, bundle, degraded, false)
 }
 
 // computeResult produces the cacheable core of a reply — the interval, the
@@ -1101,39 +1280,6 @@ func (u *servingUnit) render(ch *servingChain, tab *dataset.Table, line string, 
 		resp.Covered = cardIv.Contains(float64(res.TrueRows))
 	}
 	return resp
-}
-
-// serveCached answers one /estimate query through the unit's interval
-// cache: a hit replays the stored result with zero estimator work; a miss
-// coalesces with any concurrent misses on the same canonical key
-// (singleflight) so N identical cold requests cost exactly one chain
-// execution. Only depth-0 (primary-served) results are stored — degraded
-// intervals are transient and must not outlive the fault that caused them.
-//
-// The singleflight leader re-resolves the chain and table INSIDE the
-// flight, after the cache has snapshotted the epoch. That ordering is the
-// invalidation proof: a result stored under epoch E was computed against
-// state resolved after E's snapshot, so a swap-then-bump sequence can never
-// leave a pre-swap interval reachable under a post-swap epoch. tab and ch
-// are the handler's resolutions, used only for the reply's presentation
-// fields.
-func (u *servingUnit) serveCached(ctx context.Context, tab *dataset.Table, ch *servingChain, line string, q workload.Query, bundle string, degraded bool) estimateResponse {
-	k := cache.KeyOf(q)
-	if r, ok := u.cache.Get(k); ok {
-		return u.render(ch, tab, line, r, 0, bundle, degraded, true)
-	}
-	r, aux, shared, err := u.cache.Do(k, func() (cache.Result, uint64, bool, error) {
-		ftab, fch := u.table(), u.current()
-		iv, depth := fch.resilient.IntervalDepthCtx(ctx, q)
-		return u.computeResult(fch, ftab, q, iv), uint64(depth), depth == 0, nil
-	})
-	if err != nil {
-		// Unreachable today (the flight fn never errors), but degrade to an
-		// uncached computation rather than failing the request.
-		iv, depth := ch.resilient.IntervalDepthCtx(ctx, q)
-		return u.respond(ch, tab, line, q, iv, depth, bundle, degraded)
-	}
-	return u.render(ch, tab, line, r, int(aux), bundle, degraded, shared)
 }
 
 // batchRequest is the JSON body of POST /estimate/batch: one query string
@@ -1196,181 +1342,6 @@ func wireResult(resp *estimateResponse, depth int) codec.WireResult {
 		TrueRows: resp.TrueRows, RollCov: float64(resp.RollCov),
 		Depth: uint8(depth), Flags: flags,
 	}
-}
-
-// handleEstimateBatch answers POST /estimate/batch: the whole batch takes
-// one admission slot and one deadline, runs through the resilient chain's
-// batched path (the model's matrix kernels answer all queries in one pass),
-// and returns per-query results element-wise identical to /estimate. Any
-// malformed query rejects the whole batch with a 400 naming its index —
-// partial answers would make "which result is which" ambiguous.
-//
-// Two wire formats are negotiated via the request Content-Type: the default
-// JSON body, and the compact binary frame format (codec.WireContentType) —
-// a binary request gets a binary response. All request-sized buffers come
-// from the server scratch pool, so a warm server allocates O(1) per batch in
-// either format.
-func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	release, ok := s.admit(r.Context())
-	if !ok {
-		s.shed.Inc()
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "overloaded",
-			"server at capacity; retry after the indicated delay")
-		return
-	}
-	defer release()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer func() { s.batchLat.Observe(time.Since(start).Seconds()) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-
-	u, bundle, degraded, ok := s.route(w, r)
-	if !ok {
-		s.batchBad.Inc()
-		return
-	}
-
-	sc := s.scratch.Get().(*serveScratch)
-	defer s.scratch.Put(sc)
-	// The epoch snapshot precedes the table/chain resolution on purpose:
-	// results stored under this epoch were computed against state resolved
-	// after it, so swap-then-bump can never leave stale entries reachable
-	// (same ordering argument as serveCached).
-	var epoch uint64
-	if u.cache != nil {
-		epoch = u.cache.Epoch().Load()
-	}
-	tab, ch := u.table(), u.current()
-
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
-	var lines []string
-	var jsonReq batchRequest
-	if binary {
-		var err error
-		sc.body, err = appendReadAll(sc.body[:0], r.Body)
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_wire", "read request body: %v", err)
-			return
-		}
-		sc.rawQ, err = codec.DecodeWireRequest(sc.body, sc.rawQ[:0])
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_wire", "decode binary batch: %v", err)
-			return
-		}
-		sc.lines = sc.lines[:0]
-		for _, q := range sc.rawQ {
-			sc.lines = append(sc.lines, string(q))
-		}
-		lines = sc.lines
-	} else {
-		if err := json.NewDecoder(r.Body).Decode(&jsonReq); err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_json",
-				"decode request body: %v (expected {\"queries\": [\"...\"]})", err)
-			return
-		}
-		lines = jsonReq.Queries
-	}
-	if len(lines) == 0 {
-		s.batchBad.Inc()
-		httpError(w, http.StatusBadRequest, "empty_batch", "queries list is empty")
-		return
-	}
-	if len(lines) > s.maxBatch {
-		s.batchBad.Inc()
-		httpError(w, http.StatusBadRequest, "batch_too_large",
-			"%d queries exceed the per-request cap of %d", len(lines), s.maxBatch)
-		return
-	}
-	sc.qs = sc.qs[:0]
-	for i, line := range lines {
-		if line == "" {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "empty_query", "query %d is empty", i)
-			return
-		}
-		if len(line) > maxQueryBytes {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "query_too_long",
-				"query %d exceeds %d bytes", i, maxQueryBytes)
-			return
-		}
-		q, err := workload.ParseQuery(tab, line)
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "parse_error", "query %d: parse %q: %v", i, line, err)
-			return
-		}
-		sc.qs = append(sc.qs, q)
-	}
-	s.batchSize.Observe(float64(len(sc.qs)))
-
-	if u.cache != nil {
-		// Probe per row, then run ONE batched chain execution over the
-		// misses only — a mostly-warm batch rides the matrix kernels for
-		// just its cold rows. Only depth-0 results are stored; within-batch
-		// duplicate misses are computed together in the single call.
-		sc.keys, sc.cres = sc.keys[:0], sc.cres[:0]
-		sc.hits, sc.depths = sc.hits[:0], sc.depths[:0]
-		sc.missQs, sc.missIdx = sc.missQs[:0], sc.missIdx[:0]
-		for i := range sc.qs {
-			k := cache.KeyOf(sc.qs[i])
-			sc.keys = append(sc.keys, k)
-			sc.depths = append(sc.depths, 0)
-			if r, ok := u.cache.Get(k); ok {
-				sc.cres = append(sc.cres, r)
-				sc.hits = append(sc.hits, true)
-				continue
-			}
-			sc.cres = append(sc.cres, cache.Result{})
-			sc.hits = append(sc.hits, false)
-			sc.missQs = append(sc.missQs, sc.qs[i])
-			sc.missIdx = append(sc.missIdx, i)
-		}
-		if len(sc.missQs) > 0 {
-			ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, sc.missQs)
-			for j, idx := range sc.missIdx {
-				res := u.computeResult(ch, tab, sc.qs[idx], ivs[j])
-				sc.cres[idx] = res
-				sc.depths[idx] = depths[j]
-				if depths[j] == 0 {
-					u.cache.Put(sc.keys[idx], epoch, res)
-				}
-			}
-		}
-		sc.results = sc.results[:0]
-		for i := range sc.qs {
-			sc.results = append(sc.results, u.render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.hits[i]))
-		}
-	} else {
-		ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, sc.qs)
-		sc.depths = append(sc.depths[:0], depths...)
-		sc.results = sc.results[:0]
-		for i := range sc.qs {
-			sc.results = append(sc.results, u.respond(ch, tab, lines[i], sc.qs[i], ivs[i], depths[i], bundle, degraded))
-		}
-	}
-	s.batchOK.Inc()
-	if binary {
-		s.batchWireBinary.Inc()
-		sc.wire = sc.wire[:0]
-		for i := range sc.results {
-			sc.wire = append(sc.wire, wireResult(&sc.results[i], sc.depths[i]))
-		}
-		sc.body = codec.AppendWireResponse(sc.body[:0], uint64(tab.NumRows()), sc.wire)
-		w.Header().Set("Content-Type", codec.WireContentType)
-		_, _ = w.Write(sc.body)
-		return
-	}
-	s.batchWireJSON.Inc()
-	writeJSON(w, &sc.buf, batchResponse{Count: len(sc.results), Results: sc.results})
 }
 
 // stageName renders a fallback depth for the served_by field.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,6 +159,73 @@ func TestServeCacheBatchPerRowProbe(t *testing.T) {
 		}
 		if !sameBits(br.Results[i], br2.Results[i]) {
 			t.Fatalf("repeat batch row %d diverges from first batch", i)
+		}
+	}
+}
+
+// TestServeCacheCoalescesConcurrentMisses: N concurrent cold /estimate
+// GETs for one query cost one primary execution — the first request leads
+// the cache flight and the other N-1 wait on it — and every reply carries
+// the same bits.
+func TestServeCacheCoalescesConcurrentMisses(t *testing.T) {
+	setup := smallSetup(t)
+	bp := &blockingPI{inner: setup.PI, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	setup.PI = bp
+	ts, srv, reg := startServer(t, setup, serveOpts{cacheEntries: 1024, timeout: 10 * time.Second})
+	const n = 8
+	const q = "state = 3"
+	pq, err := workload.ParseQuery(srv.def.table(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := cache.KeyOf(pq)
+
+	replies := make([]estimateResponse, n)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/estimate?q=" + url.QueryEscape(q))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&replies[i]); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}()
+	}
+	select {
+	case <-bp.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no request reached the primary")
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.def.cache.Waiters(k) != n-1; {
+		if time.Now().After(deadline) {
+			close(bp.release)
+			t.Fatalf("flight has %d waiters, want %d", srv.def.cache.Waiters(k), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(bp.release)
+	wg.Wait()
+
+	name := srv.def.current().resilient.Name()
+	if calls := metricValue(t, reg, `cardpi_resilient_calls_total{pi="`+name+`"}`); calls != 1 {
+		t.Fatalf("primary chain ran %v times for %d coalesced requests, want 1", calls, n)
+	}
+	if got := metricValue(t, reg, `cardpi_cache_coalesced_total{unit="default"}`); got != n-1 {
+		t.Fatalf("coalesced = %v, want %d", got, n-1)
+	}
+	for i := range replies {
+		if !sameBits(replies[0], replies[i]) {
+			t.Fatalf("reply %d diverges from reply 0:\n%+v\n%+v", i, replies[i], replies[0])
 		}
 	}
 }

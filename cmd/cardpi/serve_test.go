@@ -335,62 +335,90 @@ func postBatch(t *testing.T, ts *httptest.Server, queries []string) *http.Respon
 // TestServeBatchMatchesSingle asserts each /estimate/batch element carries
 // exactly the interval and estimate fields the single /estimate endpoint
 // returns for that query — the server-level face of the batch==sequential
-// bit-identity guarantee. (Drift telemetry fields are excluded: the adaptive
-// monitor's rolling state advances with every observed query by design.)
+// bit-identity guarantee — with the cache off and on. With the cache on, a
+// second batch round is served from the cache, so warm batch rows are
+// checked against the single replies as well as cold ones. (Drift telemetry
+// fields are excluded: the adaptive monitor's rolling state advances with
+// every observed query by design.)
 func TestServeBatchMatchesSingle(t *testing.T) {
-	ts, _, reg := startServer(t, smallSetup(t), serveOpts{})
 	queries := []string{
 		"state = 3",
 		"county = 10 AND body_type = 2",
 		"model_year BETWEEN 40 AND 90",
 		"fuel_type = 1 AND color = 4",
 	}
-	resp := postBatch(t, ts, queries)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("batch status = %d, body %s", resp.StatusCode, b)
-	}
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Count != len(queries) || len(br.Results) != len(queries) {
-		t.Fatalf("count = %d, results = %d, want %d", br.Count, len(br.Results), len(queries))
-	}
-	for i, q := range queries {
-		single, err := http.Get(ts.URL + "/estimate?q=" + url.QueryEscape(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sr estimateResponse
-		err = json.NewDecoder(single.Body).Decode(&sr)
-		single.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := br.Results[i]
-		if b.Query != q || sr.Query != q {
-			t.Fatalf("query %d echoed as %q (batch) / %q (single)", i, b.Query, sr.Query)
-		}
-		if b.EstSel != sr.EstSel || b.EstRows != sr.EstRows ||
-			b.LoSel != sr.LoSel || b.HiSel != sr.HiSel ||
-			b.LoRows != sr.LoRows || b.HiRows != sr.HiRows ||
-			b.TrueRows != sr.TrueRows || b.Covered != sr.Covered ||
-			b.ServedBy != sr.ServedBy || b.Degraded != sr.Degraded {
-			t.Fatalf("query %d: batch element %+v != single reply %+v", i, b, sr)
-		}
-		if b.ServedBy != "primary" {
-			t.Fatalf("query %d served by %q, want primary", i, b.ServedBy)
-		}
-	}
-	dump := metricsDumpFor(t, reg)
-	for _, family := range []string{
-		"cardpi_serve_batch_requests_total", "cardpi_serve_batch_size", "cardpi_serve_batch_request_seconds",
+	for _, tc := range []struct {
+		name string
+		opts serveOpts
+	}{
+		{"cache-off", serveOpts{}},
+		{"cache-on", serveOpts{cacheEntries: 1024}},
 	} {
-		if !strings.Contains(dump, family) {
-			t.Fatalf("metrics output missing %s:\n%s", family, dump)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			ts, _, reg := startServer(t, smallSetup(t), tc.opts)
+			postOK := func() batchResponse {
+				t.Helper()
+				resp := postBatch(t, ts, queries)
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b, _ := io.ReadAll(resp.Body)
+					t.Fatalf("batch status = %d, body %s", resp.StatusCode, b)
+				}
+				var br batchResponse
+				if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+					t.Fatal(err)
+				}
+				if br.Count != len(queries) || len(br.Results) != len(queries) {
+					t.Fatalf("count = %d, results = %d, want %d", br.Count, len(br.Results), len(queries))
+				}
+				return br
+			}
+			batches := []batchResponse{postOK()}
+			singles := make([]estimateResponse, len(queries))
+			for i, q := range queries {
+				single, err := http.Get(ts.URL + "/estimate?q=" + url.QueryEscape(q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(single.Body).Decode(&singles[i])
+				single.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.opts.cacheEntries > 0 {
+				batches = append(batches, postOK())
+			}
+			for round, br := range batches {
+				for i, q := range queries {
+					b, sr := br.Results[i], singles[i]
+					if b.Query != q || sr.Query != q {
+						t.Fatalf("round %d query %d echoed as %q (batch) / %q (single)", round, i, b.Query, sr.Query)
+					}
+					if b.EstSel != sr.EstSel || b.EstRows != sr.EstRows ||
+						b.LoSel != sr.LoSel || b.HiSel != sr.HiSel ||
+						b.LoRows != sr.LoRows || b.HiRows != sr.HiRows ||
+						b.TrueRows != sr.TrueRows || b.Covered != sr.Covered ||
+						b.ServedBy != sr.ServedBy || b.Degraded != sr.Degraded {
+						t.Fatalf("round %d query %d: batch element %+v != single reply %+v", round, i, b, sr)
+					}
+					if b.ServedBy != "primary" {
+						t.Fatalf("round %d query %d served by %q, want primary", round, i, b.ServedBy)
+					}
+					if want := round > 0; b.Cached != want {
+						t.Fatalf("round %d query %d: cached = %v, want %v", round, i, b.Cached, want)
+					}
+				}
+			}
+			dump := metricsDumpFor(t, reg)
+			for _, family := range []string{
+				"cardpi_serve_batch_requests_total", "cardpi_serve_batch_size", "cardpi_serve_batch_request_seconds",
+			} {
+				if !strings.Contains(dump, family) {
+					t.Fatalf("metrics output missing %s:\n%s", family, dump)
+				}
+			}
+		})
 	}
 }
 

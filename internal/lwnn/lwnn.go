@@ -29,9 +29,6 @@ type Config struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	// Workers selects nn.Fit's data-parallel kernel (see nn.TrainConfig);
-	// 0 keeps the sequential path.
-	Workers int
 	// SampleSize is the row-sample size for the sampling feature.
 	SampleSize int
 	// Seed makes initialisation and training deterministic.
@@ -208,7 +205,6 @@ func train(t *dataset.Table, wl *workload.Workload, loss nn.Loss, name string, c
 	net := nn.NewNet(rand.New(rand.NewSource(cfg.Seed)), sizes...)
 	if _, err := nn.Fit(net, X, y, loss, nn.TrainConfig{
 		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR, Seed: cfg.Seed + 1,
-		Workers: cfg.Workers,
 	}); err != nil {
 		return nil, err
 	}

@@ -38,24 +38,6 @@ func NewAdam(lr float64, nets ...*Net) *Adam {
 	return a
 }
 
-// StepGrads applies one Adam update to the single tracked network using the
-// gradients accumulated in g (an external accumulator produced by the
-// data-parallel trainer) instead of the network's own buffers. g is left
-// untouched; callers overwrite it on the next reduction.
-func (a *Adam) StepGrads(g *Grads, batchSize int) {
-	if len(a.nets) != 1 {
-		panic("nn: StepGrads requires an optimizer tracking exactly one net")
-	}
-	a.t++
-	scale := 1.0 / float64(batchSize)
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for li, l := range a.nets[0].Layers {
-		a.update(l.W, g.gW[li], a.mW[li], a.vW[li], scale, bc1, bc2)
-		a.update(l.B, g.gB[li], a.mB[li], a.vB[li], scale, bc1, bc2)
-	}
-}
-
 // Step applies one Adam update using the gradients currently accumulated in
 // the tracked networks, scaled by 1/batchSize, then zeroes the gradients.
 func (a *Adam) Step(batchSize int) {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +8,8 @@ import (
 // BenchmarkFit trains the paper-scale MLP (hidden=32) on 2k examples for a
 // fixed epoch budget. The "seed" sub-benchmark replicates the original
 // trainer exactly — per-example cache-allocating Forward/Backward — and is
-// the speedup baseline; the worker sub-benchmarks run the allocation-free
-// kernel. Results are recorded in BENCH_nn.json by `make bench-json`.
+// the speedup baseline; "sequential" runs Fit, the allocation-free
+// trainer. Results are recorded in BENCH_nn.json by `make bench-json`.
 func BenchmarkFit(b *testing.B) {
 	const (
 		examples = 2000
@@ -27,23 +26,17 @@ func BenchmarkFit(b *testing.B) {
 			})
 		}
 	})
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				net := NewNet(rand.New(rand.NewSource(7)), dim, 32, 1)
-				if _, err := Fit(net, X, y, MSELoss{}, TrainConfig{
-					Epochs: epochs, BatchSize: 32, LR: 1e-3, Seed: 11, Workers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			net := NewNet(rand.New(rand.NewSource(7)), dim, 32, 1)
+			if _, err := Fit(net, X, y, MSELoss{}, TrainConfig{
+				Epochs: epochs, BatchSize: 32, LR: 1e-3, Seed: 11,
+			}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // fitSeedReplica is the original pre-optimisation training loop, preserved

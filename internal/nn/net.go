@@ -69,13 +69,7 @@ func (d *Dense) Forward(x, out []float64) {
 // respect to the layer output, and writes the gradient with respect to x
 // into gradIn (length d.In). It performs no heap allocations.
 func (d *Dense) Backward(x, gradOut, gradIn []float64) {
-	d.BackwardTo(x, gradOut, gradIn, d.gW, d.gB)
-}
-
-// BackwardTo is Backward with explicit gradient accumulators, so callers
-// can direct per-example gradients into private buffers (the data-parallel
-// Fit kernel) instead of the layer's shared ones.
-func (d *Dense) BackwardTo(x, gradOut, gradIn, gW, gB []float64) {
+	gW, gB := d.gW, d.gB
 	for i := range gradIn {
 		gradIn[i] = 0
 	}
@@ -185,8 +179,7 @@ func (n *Net) Backward(c *Cache, gradOut []float64) []float64 {
 
 // Scratch holds the reusable activation and gradient buffers for one
 // in-flight forward/backward pair on one network. A Scratch must not be
-// shared between concurrent goroutines; the data-parallel trainer keeps one
-// per worker.
+// shared between concurrent goroutines.
 type Scratch struct {
 	// pre[l] is the pre-activation output buffer of layer l; act[l] its
 	// post-ReLU activation (nil for the linear output layer).
@@ -248,16 +241,6 @@ func (n *Net) ForwardScratch(x []float64, s *Scratch) []float64 {
 // to the network output. Zero heap allocations; values are identical to
 // Backward.
 func (n *Net) BackwardScratch(s *Scratch, gradOut []float64) {
-	n.backwardScratch(s, gradOut, nil)
-}
-
-// BackwardScratchTo is BackwardScratch writing into g instead of the
-// layers' shared accumulators.
-func (n *Net) BackwardScratchTo(s *Scratch, gradOut []float64, g *Grads) {
-	n.backwardScratch(s, gradOut, g)
-}
-
-func (n *Net) backwardScratch(s *Scratch, gradOut []float64, g *Grads) {
 	grad := gradOut
 	for li := len(n.Layers) - 1; li >= 0; li-- {
 		if li < len(n.Layers)-1 {
@@ -270,49 +253,8 @@ func (n *Net) backwardScratch(s *Scratch, gradOut []float64, g *Grads) {
 				}
 			}
 		}
-		l := n.Layers[li]
-		gW, gB := l.gW, l.gB
-		if g != nil {
-			gW, gB = g.gW[li], g.gB[li]
-		}
-		l.BackwardTo(s.cache.inputs[li], grad, s.grad[li], gW, gB)
+		n.Layers[li].Backward(s.cache.inputs[li], grad, s.grad[li])
 		grad = s.grad[li]
-	}
-}
-
-// Grads is a standalone gradient accumulator mirroring a net's parameters,
-// backed by one flat buffer so reductions and optimizer updates can be
-// partitioned by element range.
-type Grads struct {
-	flat   []float64
-	gW, gB [][]float64
-}
-
-// NewGrads allocates a zeroed accumulator for the net's architecture.
-func (n *Net) NewGrads() *Grads {
-	total := 0
-	for _, l := range n.Layers {
-		total += len(l.W) + len(l.B)
-	}
-	g := &Grads{flat: make([]float64, total)}
-	off := 0
-	for _, l := range n.Layers {
-		g.gW = append(g.gW, g.flat[off:off+len(l.W)])
-		off += len(l.W)
-		g.gB = append(g.gB, g.flat[off:off+len(l.B)])
-		off += len(l.B)
-	}
-	return g
-}
-
-// Flat exposes the underlying buffer (all layers' gW then gB in layer
-// order), for element-partitioned reductions.
-func (g *Grads) Flat() []float64 { return g.flat }
-
-// Reset zeroes the accumulator.
-func (g *Grads) Reset() {
-	for i := range g.flat {
-		g.flat[i] = 0
 	}
 }
 

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 )
 
 // TrainConfig controls Fit.
@@ -13,15 +11,6 @@ type TrainConfig struct {
 	BatchSize int
 	LR        float64
 	Seed      int64
-	// Workers selects the execution kernel. 0 (the default) runs the legacy
-	// sequential path, bit-identical to the original per-example trainer.
-	// Any value >= 1 selects the chunked data-parallel kernel, which shards
-	// each minibatch into fixed-size micro-batches whose gradients reduce in
-	// a fixed order: its weights are bit-identical for EVERY worker count
-	// (Workers=1 and Workers=8 agree to the last bit, given the same seed),
-	// because neither the worker count nor goroutine scheduling changes the
-	// association order of any floating-point addition.
-	Workers int
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -38,7 +27,11 @@ func (c TrainConfig) withDefaults() TrainConfig {
 }
 
 // Fit trains a scalar-output network on (X, y) with minibatch Adam and the
-// given loss, returning the mean training loss of the final epoch.
+// given loss, returning the mean training loss of the final epoch. It runs
+// on the calling goroutine with one reusable scratch, accumulating each
+// example's gradients into the net's own buffers in batch order: zero
+// steady-state heap allocations per example, and weights bit-identical to
+// the original per-example trainer given the same seed.
 func Fit(net *Net, X [][]float64, y []float64, loss Loss, cfg TrainConfig) (float64, error) {
 	cfg = cfg.withDefaults()
 	if len(X) == 0 {
@@ -53,18 +46,6 @@ func Fit(net *Net, X [][]float64, y []float64, loss Loss, cfg TrainConfig) (floa
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	opt := NewAdam(cfg.LR, net)
-	if cfg.Workers <= 0 {
-		return fitSequential(net, X, y, loss, cfg, r, opt), nil
-	}
-	return fitChunked(net, X, y, loss, cfg, cfg.Workers, r, opt), nil
-}
-
-// fitSequential is the legacy single-goroutine path: one reusable scratch,
-// direct accumulation into the net's gradient buffers — zero steady-state
-// heap allocations per example, gradients accumulated per example in batch
-// order exactly as the original trainer did.
-func fitSequential(net *Net, X [][]float64, y []float64, loss Loss, cfg TrainConfig,
-	r *rand.Rand, opt *Adam) float64 {
 	s := net.NewScratch()
 	gradOut := make([]float64, 1)
 	var last float64
@@ -83,175 +64,7 @@ func fitSequential(net *Net, X [][]float64, y []float64, loss Loss, cfg TrainCon
 		}
 		last = epochLoss / float64(len(X))
 	}
-	return last
-}
-
-// chunkletSize is the micro-batch granularity of the parallel kernel. Each
-// minibatch is cut into ceil(bs/chunkletSize) chunklets; a chunklet's
-// examples accumulate into one private cache-resident gradient buffer in
-// example order, and chunklet buffers reduce into the master accumulator in
-// chunklet order. The constant is independent of the worker count — it IS
-// the determinism guarantee: the floating-point summation tree is fixed by
-// (batch, chunkletSize) alone, so any W produces identical bits. 4 keeps
-// per-batch gradient-buffer traffic ~4x below one-buffer-per-example while
-// still exposing 8-way parallelism at the default batch size of 32.
-const chunkletSize = 4
-
-// parReduceMin is the parameter count above which the chunklet reduction is
-// itself parallelised (element-range partitioned). Below it, one goroutine
-// sums faster than a barrier costs.
-const parReduceMin = 8192
-
-// fitChunked is the data-parallel minibatch kernel. Each batch: (1) workers
-// compute chunklet gradients, taking chunklets in a fixed stride; (2) the
-// chunklet buffers reduce into the master accumulator in chunklet order —
-// on the master goroutine for small nets, or partitioned by parameter-
-// element range across the workers for large ones (each element still sums
-// in chunklet order, so the result is identical either way).
-//
-// The calling goroutine participates as worker 0, and the W-1 helper
-// goroutines are persistent, released by a spin barrier rather than
-// channels: a batch is only tens of microseconds of work, so the
-// microsecond-scale sleep/wake latency of channel sends would swallow the
-// speedup.
-func fitChunked(net *Net, X [][]float64, y []float64, loss Loss, cfg TrainConfig,
-	workers int, r *rand.Rand, opt *Adam) float64 {
-	maxChunklets := (cfg.BatchSize + chunkletSize - 1) / chunkletSize
-	if workers > maxChunklets {
-		workers = maxChunklets
-	}
-	scratch := make([]*Scratch, workers)
-	gradOut := make([][]float64, workers)
-	for w := range scratch {
-		scratch[w] = net.NewScratch()
-		gradOut[w] = make([]float64, 1)
-	}
-	chunk := make([]*Grads, maxChunklets)
-	for c := range chunk {
-		chunk[c] = net.NewGrads()
-	}
-	lossCk := make([]float64, maxChunklets)
-	master := net.NewGrads()
-	flatLen := len(master.Flat())
-
-	// Shared per-batch state; the barrier's release/join ordering makes the
-	// master's plain writes visible to workers and vice versa.
-	var (
-		batch []int
-		bs    int
-		nCk   int
-		phase func(w int)
-	)
-
-	// Phase 1: worker w computes chunklets w, w+W, w+2W, ... Each chunklet
-	// accumulates its examples' gradients in example order into its private
-	// buffer.
-	computeChunklets := func(w int) {
-		s := scratch[w]
-		for c := w; c < nCk; c += workers {
-			g := chunk[c]
-			g.Reset()
-			var lsum float64
-			hi := min((c+1)*chunkletSize, bs)
-			for j := c * chunkletSize; j < hi; j++ {
-				i := batch[j]
-				pred := net.ForwardScratch(X[i], s)
-				lsum += loss.Value(pred[0], y[i])
-				gradOut[w][0] = loss.Grad(pred[0], y[i])
-				net.BackwardScratchTo(s, gradOut[w], g)
-			}
-			lossCk[c] = lsum
-		}
-	}
-	// reduceRange sums the chunklet buffers into master over [lo, hi),
-	// every element in chunklet order.
-	reduceRange := func(lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		acc := master.Flat()[lo:hi]
-		copy(acc, chunk[0].Flat()[lo:hi])
-		for c := 1; c < nCk; c++ {
-			ck := chunk[c].Flat()[lo:hi]
-			for f := range acc {
-				acc[f] += ck[f]
-			}
-		}
-	}
-	reduceChunklets := func(w int) {
-		reduceRange(w*flatLen/workers, (w+1)*flatLen/workers)
-	}
-
-	// Persistent helpers behind a spin barrier; a single worker runs phases
-	// inline. The spin budget before yielding to the scheduler collapses to
-	// zero when only one P exists — there, spinning can never observe
-	// progress and only delays the goroutine that would make some.
-	runPhase := func(fn func(w int)) { fn(0) }
-	if workers > 1 {
-		spinBudget := 1 << 12
-		if runtime.GOMAXPROCS(0) == 1 {
-			spinBudget = 0
-		}
-		var release, done atomic.Int64
-		var stop atomic.Bool
-		for w := 1; w < workers; w++ {
-			go func(w int) {
-				gen := int64(0)
-				for {
-					for i := 0; release.Load() == gen; i++ {
-						if i >= spinBudget {
-							runtime.Gosched()
-						}
-					}
-					if stop.Load() {
-						return
-					}
-					gen++
-					phase(w)
-					done.Add(1)
-				}
-			}(w)
-		}
-		defer func() {
-			stop.Store(true)
-			release.Add(1)
-		}()
-		target := int64(0)
-		runPhase = func(fn func(w int)) {
-			phase = fn
-			target += int64(workers - 1)
-			release.Add(1)
-			fn(0)
-			for i := 0; done.Load() != target; i++ {
-				if i >= spinBudget {
-					runtime.Gosched()
-				}
-			}
-		}
-	}
-
-	var last float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		idx := r.Perm(len(X))
-		var epochLoss float64
-		for s := 0; s < len(idx); s += cfg.BatchSize {
-			end := min(s+cfg.BatchSize, len(idx))
-			batch, bs = idx[s:end], end-s
-			nCk = (bs + chunkletSize - 1) / chunkletSize
-			runPhase(computeChunklets)
-			if flatLen >= parReduceMin {
-				runPhase(reduceChunklets)
-			} else {
-				reduceRange(0, flatLen)
-			}
-			for c := 0; c < nCk; c++ {
-				epochLoss += lossCk[c]
-			}
-			opt.StepGrads(master, bs)
-		}
-		last = epochLoss / float64(len(X))
-	}
-	return last
+	return last, nil
 }
 
 // MeanLoss evaluates the mean loss of the network over a dataset without

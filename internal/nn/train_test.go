@@ -23,38 +23,6 @@ func trainData(n, dim int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestFitWorkerCountInvariance is the determinism guarantee of the
-// data-parallel kernel: the final weights must be identical — bit for bit —
-// for Workers in {1, 2, 8} given the same seed.
-func TestFitWorkerCountInvariance(t *testing.T) {
-	X, y := trainData(300, 6, 1)
-	weights := func(workers int) [][]float64 {
-		net := NewNet(rand.New(rand.NewSource(7)), 6, 32, 1)
-		if _, err := Fit(net, X, y, MSELoss{}, TrainConfig{
-			Epochs: 5, BatchSize: 32, LR: 1e-3, Seed: 11, Workers: workers,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var out [][]float64
-		for _, l := range net.Layers {
-			out = append(out, append(append([]float64(nil), l.W...), l.B...))
-		}
-		return out
-	}
-	ref := weights(1)
-	for _, w := range []int{2, 8} {
-		got := weights(w)
-		for li := range ref {
-			for pi := range ref[li] {
-				if got[li][pi] != ref[li][pi] {
-					t.Fatalf("Workers=%d layer %d param %d: %v != %v (Workers=1)",
-						w, li, pi, got[li][pi], ref[li][pi])
-				}
-			}
-		}
-	}
-}
-
 // TestScratchMatchesAllocatingPath checks that the scratch-based forward and
 // backward produce exactly the values of the cache-allocating path.
 func TestScratchMatchesAllocatingPath(t *testing.T) {
@@ -94,34 +62,6 @@ func TestScratchMatchesAllocatingPath(t *testing.T) {
 		}
 		net.ZeroGrad()
 	}
-}
-
-// TestBackwardScratchToMatchesSharedAccumulators checks the external-Grads
-// variant used by the parallel kernel.
-func TestBackwardScratchToMatchesSharedAccumulators(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	net := NewNet(r, 4, 8, 1)
-	s := net.NewScratch()
-	g := net.NewGrads()
-	x := []float64{0.5, -1, 2, 0.25}
-
-	out := net.ForwardScratch(x, s)
-	net.ZeroGrad()
-	net.BackwardScratch(s, []float64{out[0] - 1})
-	net.BackwardScratchTo(s, []float64{out[0] - 1}, g)
-	for li, l := range net.Layers {
-		for i := range l.gW {
-			if g.gW[li][i] != l.gW[i] {
-				t.Fatalf("layer %d gW[%d]: Grads %v != shared %v", li, i, g.gW[li][i], l.gW[i])
-			}
-		}
-		for i := range l.gB {
-			if g.gB[li][i] != l.gB[i] {
-				t.Fatalf("layer %d gB[%d]: Grads %v != shared %v", li, i, g.gB[li][i], l.gB[i])
-			}
-		}
-	}
-	net.ZeroGrad()
 }
 
 // TestSteadyStateZeroAllocations asserts the hot-path contract: Dense
